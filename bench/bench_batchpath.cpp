@@ -23,31 +23,19 @@
 //    CI scale, keeping the derived ratios stable)
 #include <algorithm>
 #include <cstdio>
-#include <ctime>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "baselines/hermes_backend.h"
 #include "net/flow_mod_batch.h"
+#include "common.h"
 #include "report.h"
 #include "tcam/switch_model.h"
 #include "tcam/tcam_table.h"
 
 namespace hermes::bench {
 namespace {
-
-// Process CPU time for the real-ns rows (wall clock swings too much on a
-// contended CI core; see bench_hotpath.cpp).
-std::int64_t cpu_now_ns() {
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-  timespec ts;
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
-#else
-  return 0;
-#endif
-}
 
 net::Rule synth_rule(net::RuleId id, std::mt19937_64& rng) {
   int priority = static_cast<int>(rng() % 1024);

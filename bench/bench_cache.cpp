@@ -33,39 +33,20 @@
 //   (--smoke shrinks flows/sizes/probes to CI scale; default output
 //    BENCH_cache.json)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <string>
 #include <vector>
 
 #include "cache/cache_hierarchy.h"
 #include "baselines/shadow_switch.h"
 #include "hermes/hermes_agent.h"
+#include "common.h"
 #include "report.h"
 #include "tcam/switch_model.h"
 #include "workloads/zipf.h"
 
 namespace hermes::bench {
 namespace {
-
-// Process CPU time, not wall clock (see bench_hotpath.cpp).
-struct Clock {
-  struct time_point {
-    std::int64_t ns;
-  };
-  static time_point now() {
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-    timespec ts;
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return {static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec};
-#else
-    return {std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count()};
-#endif
-  }
-};
 
 struct PolicyRun {
   std::string policy;
@@ -108,15 +89,14 @@ PolicyRun run_policy(const workloads::ZipfConfig& wc,
   // Modeled latency is accumulated by hand (classify returns it); the
   // real-time clock around the same loop gives actual ns per classify.
   std::int64_t modeled = 0;
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (int i = 0; i < probes; ++i) {
     now += from_micros(1);
     auto res = h.classify(now, traffic.next());
     modeled += res.latency;
     if (i % 256 == 0) h.tick(now);
   }
-  double real_ns = static_cast<double>(Clock::now().ns - start.ns) /
-                   static_cast<double>(probes);
+  double real_ns = ns_since(start, static_cast<std::uint64_t>(probes));
 
   const std::uint64_t window_hits = h.hits() - hits0;
   const std::uint64_t window_total = window_hits + (h.misses() - misses0);

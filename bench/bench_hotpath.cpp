@@ -14,47 +14,20 @@
 //    counts to CI scale — the derived speedups are then measured at the
 //    largest size that still ran)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "hermes/hermes_agent.h"
 #include "baselines/plain_switch.h"
+#include "common.h"
 #include "report.h"
 #include "tcam/switch_model.h"
 #include "tcam/tcam_table.h"
 
 namespace hermes::bench {
 namespace {
-
-// Process CPU time, not wall clock: on a contended CI core, preemption
-// inflates wall-clock windows by milliseconds, which swamps the tens-of-
-// ns indexed operations this bench exists to measure.
-struct Clock {
-  struct time_point {
-    std::int64_t ns;
-  };
-  static time_point now() {
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-    timespec ts;
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return {static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec};
-#else
-    return {std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count()};
-#endif
-  }
-};
-
-double ns_since(Clock::time_point start, std::uint64_t ops) {
-  auto elapsed = Clock::now().ns - start.ns;
-  return ops == 0 ? 0.0
-                  : static_cast<double>(elapsed) / static_cast<double>(ops);
-}
 
 // Frozen pre-index reference: the linear-scan bookkeeping TcamTable used
 // before this benchmark existed. Kept verbatim (minus stats) so the
@@ -138,7 +111,7 @@ void record(const std::string& op, const std::string& impl, int rules,
 template <typename Table>
 double bench_find(Table& table, const std::vector<net::RuleId>& probes) {
   volatile std::uint64_t sink = 0;
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (net::RuleId id : probes) {
     const net::Rule* r = table.find(id);
     if (r) sink = sink + r->id;
@@ -150,7 +123,7 @@ double bench_find(Table& table, const std::vector<net::RuleId>& probes) {
 // blocker-delete shape: locate by id, splice, put back).
 template <typename Table>
 double bench_churn(Table& table, const std::vector<net::Rule>& victims) {
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (const net::Rule& r : victims) {
     table.erase(r.id);
     table.insert(r);
@@ -173,19 +146,9 @@ struct IndexedView {
 // migration drain and of slice teardown, and the headline erase number.
 template <typename Table>
 double bench_drain(Table& table, std::uint64_t reps) {
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (std::uint64_t i = 0; i < reps; ++i) table.erase(table.back_id());
   return ns_since(start, reps);
-}
-
-// Best-of-N repeated measurement: the min discards warmup and scheduler
-// noise, which otherwise swings single-shot runs enough to flake the CI
-// regression gate (the derived speedups divide two of these numbers).
-template <typename F>
-double best_of(int reps, F&& measure) {
-  double best = measure();
-  for (int i = 1; i < reps; ++i) best = std::min(best, measure());
-  return best;
 }
 
 void bench_tables(int n, std::uint64_t find_reps, std::uint64_t churn_reps) {
@@ -200,11 +163,11 @@ void bench_tables(int n, std::uint64_t find_reps, std::uint64_t churn_reps) {
 
   // Build (insert from empty) — both implementations pay the same vector
   // splice; the indexed one additionally maintains the id map.
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (const net::Rule& r : rules) indexed.insert(r);
   record("insert_build", "indexed", n, static_cast<std::uint64_t>(n),
          ns_since(start, static_cast<std::uint64_t>(n)));
-  start = Clock::now();
+  start = cpu_now_ns();
   for (const net::Rule& r : rules) linear.insert(r);
   record("insert_build", "linear", n, static_cast<std::uint64_t>(n),
          ns_since(start, static_cast<std::uint64_t>(n)));
@@ -262,7 +225,7 @@ void bench_migrate(int n) {
   std::mt19937_64 rng(0xBEEF ^ static_cast<std::uint64_t>(n));
   Time now = 0;
   net::RuleId next_id = 1;
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   while (agent.main_occupancy() < n) {
     for (int i = 0; i < 200 && static_cast<int>(next_id) <= n; ++i)
       agent.insert(now++, synth_rule(next_id++, rng));
@@ -282,7 +245,7 @@ void bench_backend(int n) {
   for (int i = 0; i < n; ++i)
     rules.push_back(synth_rule(static_cast<net::RuleId>(i + 1), rng));
   Time now = 0;
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (const net::Rule& r : rules)
     sw.handle(now++, {net::FlowModType::kInsert, r});
   for (const net::Rule& r : rules)

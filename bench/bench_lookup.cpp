@@ -31,49 +31,17 @@
 //   (default output: BENCH_lookup.json; --smoke drops the 65536-rule set
 //    to CI scale, probe counts stay fixed)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "report.h"
 #include "tcam/tcam_table.h"
 
 namespace hermes::bench {
 namespace {
-
-// Process CPU time, not wall clock (see bench_hotpath.cpp).
-struct Clock {
-  struct time_point {
-    std::int64_t ns;
-  };
-  static time_point now() {
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-    timespec ts;
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return {static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec};
-#else
-    return {std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count()};
-#endif
-  }
-};
-
-double ns_since(Clock::time_point start, std::uint64_t ops) {
-  auto elapsed = Clock::now().ns - start.ns;
-  return ops == 0 ? 0.0
-                  : static_cast<double>(elapsed) / static_cast<double>(ops);
-}
-
-template <typename F>
-double best_of(int reps, F&& measure) {
-  double best = measure();
-  for (int i = 1; i < reps; ++i) best = std::min(best, measure());
-  return best;
-}
 
 /// A rule-set shape: name + weighted prefix-length pool to draw from.
 struct Profile {
@@ -178,7 +146,7 @@ double ns_of(const std::string& profile, const std::string& scenario,
 double measure_engine(tcam::TcamTable& t,
                       const std::vector<net::Ipv4Address>& probes) {
   volatile std::uint64_t sink = 0;
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (net::Ipv4Address addr : probes) {
     const net::Rule* r = t.lookup_ptr(addr);
     if (r) sink = sink + r->id;
@@ -189,7 +157,7 @@ double measure_engine(tcam::TcamTable& t,
 double measure_engine_copy(tcam::TcamTable& t,
                            const std::vector<net::Ipv4Address>& probes) {
   volatile std::uint64_t sink = 0;
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (net::Ipv4Address addr : probes) {
     std::optional<net::Rule> r = t.lookup(addr);
     if (r) sink = sink + r->id;
@@ -200,7 +168,7 @@ double measure_engine_copy(tcam::TcamTable& t,
 double measure_linear(const tcam::TcamTable& t,
                       const std::vector<net::Ipv4Address>& probes) {
   volatile std::uint64_t sink = 0;
-  auto start = Clock::now();
+  std::int64_t start = cpu_now_ns();
   for (net::Ipv4Address addr : probes) {
     std::optional<net::Rule> r = t.peek(addr);
     if (r) sink = sink + r->id;

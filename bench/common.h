@@ -7,7 +7,11 @@
 // fall) is the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,39 @@
 #include "workloads/trace.h"
 
 namespace hermes::bench {
+
+/// Process CPU time in ns, not wall clock: on a contended CI core,
+/// preemption inflates wall-clock windows by milliseconds, which swamps
+/// the tens-of-ns operations the microbenches measure. Falls back to the
+/// steady clock where no process CPU clock exists.
+inline std::int64_t cpu_now_ns() {
+#if defined(CLOCK_PROCESS_CPUTIME_ID)
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+#else
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+#endif
+}
+
+/// CPU ns per op since `start` (a cpu_now_ns() reading); 0 for no ops.
+inline double ns_since(std::int64_t start, std::uint64_t ops) {
+  std::int64_t elapsed = cpu_now_ns() - start;
+  return ops == 0 ? 0.0
+                  : static_cast<double>(elapsed) / static_cast<double>(ops);
+}
+
+/// Best-of-N repeated measurement: the min discards warmup and scheduler
+/// noise, which otherwise swings single-shot runs enough to flake the CI
+/// regression gate (the derived speedups divide two of these numbers).
+template <typename F>
+double best_of(int reps, F&& measure) {
+  double best = measure();
+  for (int i = 1; i < reps; ++i) best = std::min(best, measure());
+  return best;
+}
 
 /// Replays a timestamped control-plane trace through a backend, invoking
 /// tick() at `tick_every` so batches flush and Hermes epochs close.

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -70,24 +69,24 @@ struct RouteContext {
   bool main_full = false;
 };
 
-/// Per-reason admission totals. Since the obs refactor this is a VIEW
-/// assembled from the backing metric registry on each stats() call, not
-/// independent storage — the registry (gate.* counters) is the source of
-/// truth, and this struct keeps the historical accessor shape.
+/// Per-reason admission totals: the Gate Keeper's only per-instance
+/// counter store (the gate.* aggregates go to the process-attached
+/// registry).
 struct GateKeeperStats {
   std::uint64_t guaranteed = 0;
   std::uint64_t unmatched = 0;
   std::uint64_t over_rate = 0;
   std::uint64_t lowest_priority = 0;
   std::uint64_t shadow_full = 0;
+
+  friend bool operator==(const GateKeeperStats&,
+                         const GateKeeperStats&) = default;
 };
 
 class GateKeeper {
  public:
-  /// Counts admissions into `registry` (gate.* counters). When null, the
-  /// Gate Keeper owns a private registry so standalone use still counts.
   GateKeeper(const HermesConfig& config, double token_rate,
-             double token_burst, obs::Registry* registry = nullptr);
+             double token_burst);
 
   /// Routing decision for an insertion arriving at `now`.
   Route route_insert(Time now, const net::Rule& rule,
@@ -112,25 +111,31 @@ class GateKeeper {
                                         std::span<const net::Rule> rules,
                                         const RouteContext& ctx);
 
-  /// Thin view over the registry counters (rebuilt per call; take a copy
-  /// if you need a frozen reading).
-  const GateKeeperStats& stats() const;
+  const GateKeeperStats& stats() const { return stats_; }
   const TokenBucket& bucket() const { return bucket_; }
-  const obs::Registry& registry() const { return *obs_; }
 
  private:
+  /// Counts one routing decision in stats_ and its gate.* aggregate, and
+  /// emits the admission trace event.
+  void count(Time now, Route route);
+
   const HermesConfig* config_;
   TokenBucket bucket_;
-  std::unique_ptr<obs::Registry> owned_obs_;  // set iff none was injected
-  obs::Registry* obs_;
-  obs::Counter guaranteed_;
-  obs::Counter unmatched_;
-  obs::Counter over_rate_;
-  obs::Counter lowest_priority_;
-  obs::Counter shadow_full_;
-  obs::Gauge tokens_;  // floor of the bucket level after each decision
-  obs::Histogram batch_admitted_;  // guaranteed rules per batch decision
-  mutable GateKeeperStats stats_view_;
+  GateKeeperStats stats_;
+
+  // Pipeline-wide aggregates, captured from the process-attached registry
+  // at construction (detached no-op handles when none is attached).
+  obs::Counter obs_guaranteed_ = obs::attached_counter("gate.guaranteed");
+  obs::Counter obs_unmatched_ = obs::attached_counter("gate.unmatched");
+  obs::Counter obs_over_rate_ = obs::attached_counter("gate.over_rate");
+  obs::Counter obs_lowest_priority_ =
+      obs::attached_counter("gate.lowest_priority");
+  obs::Counter obs_shadow_full_ = obs::attached_counter("gate.shadow_full");
+  // Floor of the bucket level after each decision (last writer wins).
+  obs::Gauge obs_tokens_ = obs::attached_gauge("gate.tokens");
+  // Guaranteed rules per batch decision.
+  obs::Histogram obs_batch_admitted_ =
+      obs::attached_histogram("gate.batch_admitted");
 };
 
 }  // namespace hermes::core

@@ -79,8 +79,8 @@ namespace {
 
 struct TlsShardCache {
   std::uint64_t generation = 0;
-  // Tiny: one entry per live registry this thread records into
-  // (typically the attached registry plus one component-private one).
+  // One entry per live registry this thread records into, scanned
+  // linearly by local_shard(): normally just the attached registry.
   // Stored untyped because Registry::Shard is private.
   std::vector<std::pair<const void*, void*>> entries;
 };

@@ -116,8 +116,9 @@ struct Snapshot {
 /// Metric registry + trace ring. Metric registration (the first
 /// counter("name") call for a name) takes a mutex; the returned handles
 /// record through thread-local shards without locking. Instances are
-/// independent — a component-private registry and the process-attached
-/// one can coexist.
+/// independent, but a thread finds its shard by scanning every registry
+/// it has recorded into, so components share the process-attached
+/// registry and keep their per-instance counts in plain structs.
 class Registry {
  public:
   /// `trace_capacity` bounds the event ring (0 = tracing disabled;

@@ -255,7 +255,10 @@ TEST(GateKeeperBatch, OneTokenEvaluationSplitsDeterministically) {
   HermesConfig config;
   // rate 0: only the burst of 2.5 tokens ever exists, so of 4 candidates
   // exactly floor(2.5) = 2 can be guaranteed.
+  obs::Registry reg;
+  obs::attach(&reg);
   GateKeeper gk(config, /*rate=*/0.0, /*burst=*/2.5);
+  obs::attach(nullptr);
   RouteContext ctx = busy_context();
   std::vector<Rule> rules;
   for (int i = 0; i < 4; ++i)
@@ -270,7 +273,7 @@ TEST(GateKeeperBatch, OneTokenEvaluationSplitsDeterministically) {
   EXPECT_EQ(routes[3], Route::kMainOverRate);
   EXPECT_EQ(gk.stats().guaranteed, 2u);
   EXPECT_EQ(gk.stats().over_rate, 2u);
-  EXPECT_EQ(gk.registry().histogram_summary("gate.batch_admitted").count,
+  EXPECT_EQ(reg.histogram_summary("gate.batch_admitted").count,
             1u);  // ONE batch decision, not four
 }
 
@@ -391,13 +394,15 @@ TEST(GateKeeperBatch, DifferentialVsPerOpAcrossMixedBatches) {
 
 TEST(GateKeeperBatch, EmptyBatchIsANoOp) {
   HermesConfig config;
+  obs::Registry reg;
+  obs::attach(&reg);
   GateKeeper gk(config, 0.0, 1.0);
+  obs::attach(nullptr);
   EXPECT_TRUE(gk.route_insert_batch(0, {}, busy_context()).empty());
   EXPECT_EQ(gk.stats().guaranteed, 0u);
   // No token was consumed and no batch decision was recorded.
   EXPECT_NEAR(gk.bucket().available(0), 1.0, 1e-9);
-  EXPECT_EQ(gk.registry().histogram_summary("gate.batch_admitted").count,
-            0u);
+  EXPECT_EQ(reg.histogram_summary("gate.batch_admitted").count, 0u);
 }
 
 TEST(Predicates, Helpers) {

@@ -152,6 +152,18 @@ class WriteBaselineTest(unittest.TestCase):
         self.assertEqual(written, cand)
         self.assertIn("hermes_speedup", proc.stdout)
 
+    def test_drops_metrics_export(self):
+        # The obs export is never compared, so it is not committed.
+        cand = dict(doc(derived={"hermes_speedup": 4.0},
+                        results=[{"case": "a", "ns": 10.0}]),
+                    metrics={"schema_version": 1,
+                             "counters": {"gate.guaranteed": 3}})
+        proc, written = self.run_write(cand)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertNotIn("metrics", written)
+        self.assertEqual(written["derived"], cand["derived"])
+        self.assertEqual(written["results"], cand["results"])
+
     def test_overwrites_same_benchmark(self):
         old = doc(derived={"hermes_speedup": 2.0})
         new = doc(derived={"hermes_speedup": 4.0})

@@ -33,8 +33,11 @@ of comparing: CANDIDATE is schema-checked (schema_version 1, a benchmark
 name, every derived metric numeric — a NaN serialized as null would make
 the committed baseline silently ungateable), and when BASELINE already
 exists its benchmark name must match (refuses to clobber one bench's
-baseline with another's output). This is how bench/baselines/*.json are
-refreshed after an intentional performance change.
+baseline with another's output). The candidate's `metrics` object (the
+full obs registry export) is dropped: it is never compared, and keeping
+it would only pin metric names in the committed file. This is how
+bench/baselines/*.json are refreshed after an intentional performance
+change.
 
 Exit codes: 0 ok, 1 regression (or missing gated metric), 2 usage/load
 error.
@@ -173,6 +176,8 @@ def write_baseline(baseline_path, candidate_path):
             usage_error(f"refusing to overwrite {baseline_path} "
                         f"(benchmark {base.get('benchmark')!r}) with "
                         f"{candidate_path} (benchmark {name!r})")
+    # Only derived{} and results[] are compared; the obs export is not.
+    cand.pop("metrics", None)
     with open(baseline_path, "w", encoding="utf-8") as fh:
         json.dump(cand, fh, indent=2)
         fh.write("\n")
