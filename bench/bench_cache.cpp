@@ -28,6 +28,15 @@
 //     kept cache.dependency_violations at zero.
 //   * spill_admission_rate — fraction of oversubscribed offers the
 //     spill-mode agent accepted (the whole point of the spill tier: 1.0).
+//   * closure_rules_visited_per_promotion — rules the promotion-closure
+//     walks yielded per promoted rule, over every run (a count: exact on
+//     any machine). The walk stops one rule past closure_limit, so an
+//     aborted /8 promotion costs at most 17 visits, not one per /32 under
+//     it.
+//   * bytes_per_installed_flow — heap bytes of the hierarchy's overlap
+//     indexes per installed rule, right after the install phase (the
+//     flat pools' allocated capacity; depends only on the standard
+//     library's vector growth).
 //
 // Usage: bench_cache [--smoke] [output.json]
 //   (--smoke shrinks flows/sizes/probes to CI scale; default output
@@ -54,6 +63,9 @@ struct PolicyRun {
   double hit_ratio = 0.0;
   double mean_latency_ns = 0.0;
   std::uint64_t violations = 0;
+  std::uint64_t promotions = 0;
+  std::uint64_t closure_rules_visited = 0;
+  double index_bytes_per_flow = 0.0;
 };
 
 /// One (policy, size) run: install the full Zipf rule set, warm the
@@ -73,6 +85,9 @@ PolicyRun run_policy(const workloads::ZipfConfig& wc,
     now += from_micros(1);
     h.handle(now, {net::FlowModType::kInsert, r});
   }
+  const double index_bytes_per_flow =
+      static_cast<double>(h.index_bytes()) /
+      static_cast<double>(h.total_rules());
 
   workloads::ZipfTraffic traffic(wc);
   auto drive = [&](int count) {
@@ -110,6 +125,9 @@ PolicyRun run_policy(const workloads::ZipfConfig& wc,
   run.mean_latency_ns =
       static_cast<double>(modeled) / static_cast<double>(probes);
   run.violations = h.dependency_violations();
+  run.promotions = h.promotions();
+  run.closure_rules_visited = h.closure_rules_visited();
+  run.index_bytes_per_flow = index_bytes_per_flow;
   double churn = static_cast<double>((h.promotions() - promo0) +
                                      (h.demotions() - demo0)) *
                  1000.0 / static_cast<double>(probes);
@@ -220,6 +238,8 @@ int main(int argc, char** argv) {
       hermes::cache::PolicyKind::kLru, hermes::cache::PolicyKind::kLfu,
       hermes::cache::PolicyKind::kFdrc};
   std::uint64_t total_violations = 0;
+  std::uint64_t total_promotions = 0, total_closure_visits = 0;
+  double index_bytes_per_flow = 0.0;
   // hit ratio per policy name per size, for the derived ratios.
   double best_improvement_lru = 0.0, best_improvement_lfu = 0.0;
   double fdrc_latency_at_top = 0.0;
@@ -229,6 +249,9 @@ int main(int argc, char** argv) {
     for (hermes::cache::PolicyKind policy : kPolicies) {
       PolicyRun run = run_policy(wc, rules, policy, size, warm_probes, probes);
       total_violations += run.violations;
+      total_promotions += run.promotions;
+      total_closure_visits += run.closure_rules_visited;
+      index_bytes_per_flow = run.index_bytes_per_flow;  // same in every run
       if (policy == hermes::cache::PolicyKind::kLru) lru = run.hit_ratio;
       if (policy == hermes::cache::PolicyKind::kLfu) lfu = run.hit_ratio;
       if (policy == hermes::cache::PolicyKind::kFdrc) {
@@ -297,13 +320,20 @@ int main(int argc, char** argv) {
   rep.derived("dependency_violation_free_rate",
               total_violations == 0 ? 1.0 : 0.0);
   rep.derived("spill_admission_rate", spill.accepted);
+  const double visits_per_promotion =
+      static_cast<double>(total_closure_visits) /
+      static_cast<double>(std::max<std::uint64_t>(total_promotions, 1));
+  rep.derived("closure_rules_visited_per_promotion", visits_per_promotion);
+  rep.derived("bytes_per_installed_flow", index_bytes_per_flow);
   std::printf(
       "\nFDRC best hit-ratio improvement: %.3fx vs LRU, %.3fx vs LFU; "
       "miss-path latency ratio %.3f; violations %llu; spill admission "
-      "%.3f\n",
+      "%.3f\nclosure walk: %.3f rules visited per promotion; overlap "
+      "indexes: %.1f bytes per installed flow\n",
       best_improvement_lru, best_improvement_lfu,
       fdrc_latency_at_top / std::max(software_ns, 1e-9),
-      static_cast<unsigned long long>(total_violations), spill.accepted);
+      static_cast<unsigned long long>(total_violations), spill.accepted,
+      visits_per_promotion, index_bytes_per_flow);
   rep.write(out);
 
   if (total_violations != 0) {

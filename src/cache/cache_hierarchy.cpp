@@ -225,20 +225,27 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
   // 1. Dependency closure: every software-only rule overlapping a
   //    closure member at >= priority must come along, or a TCAM hit on
   //    the promoted rule could mask it.
+  //    The walk stops at the first rule past `closure_limit`, so an
+  //    oversized closure costs O(limit), not O(overlapping rules).
   std::vector<net::Rule> closure{entries_.at(id).rule};
   std::unordered_set<net::RuleId> in_closure{id};
-  for (std::size_t i = 0; i < closure.size(); ++i) {
+  bool oversized = false;
+  for (std::size_t i = 0; i < closure.size() && !oversized; ++i) {
     const net::Rule member = closure[i];
-    for (const net::Rule& s :
-         uncached_index_.overlapping(member.match, member.priority - 1)) {
-      if (!in_closure.insert(s.id).second) continue;
-      closure.push_back(s);
-      if (static_cast<int>(closure.size()) > config_.closure_limit) {
-        ++promotion_aborts_;
-        obs_promotion_aborts_.inc();
-        return 0;
-      }
-    }
+    uncached_index_.for_each_overlapping(
+        member.match, member.priority - 1, [&](const net::Rule& s) {
+          ++closure_rules_visited_;
+          if (!in_closure.insert(s.id).second) return true;
+          closure.push_back(s);
+          oversized =
+              static_cast<int>(closure.size()) > config_.closure_limit;
+          return !oversized;
+        });
+  }
+  if (oversized) {
+    ++promotion_aborts_;
+    obs_promotion_aborts_.inc();
+    return 0;
   }
   obs_closure_size_.record(closure.size());
 
@@ -317,15 +324,22 @@ void CacheHierarchy::demote_conflicting(Time now, const net::Rule& rule) {
   // BFS from the software-only `rule`: any cached rule at <= priority
   // overlapping an affected rule must leave the TCAM (its hit would mask
   // the software rule), and each demotion can expose further conflicts.
+  // The walk collects before demoting: demote() edits the index.
+  if (cached_index_.empty()) return;
   std::vector<net::Rule> frontier{rule};
   std::unordered_set<net::RuleId> seen{rule.id};
+  std::vector<net::Rule> shadowed;
   while (!frontier.empty()) {
     const net::Rule u = frontier.back();
     frontier.pop_back();
-    for (const net::Rule& c : cached_index_.overlapping(
-             u.match, std::numeric_limits<int>::min())) {
-      if (c.priority > u.priority) continue;
-      if (!seen.insert(c.id).second) continue;
+    shadowed.clear();
+    cached_index_.for_each_overlapping(
+        u.match, std::numeric_limits<int>::min(), [&](const net::Rule& c) {
+          if (c.priority <= u.priority && seen.insert(c.id).second)
+            shadowed.push_back(c);
+          return true;
+        });
+    for (const net::Rule& c : shadowed) {
       auto it = entries_.find(c.id);
       if (it == entries_.end() || !it->second.cached) continue;
       demote(now, c);
@@ -353,17 +367,21 @@ std::vector<net::Rule> CacheHierarchy::demotion_cascade(
     const net::Rule& victim) const {
   std::vector<net::Rule> cascade{victim};
   std::unordered_set<net::RuleId> seen{victim.id};
-  for (std::size_t i = 0; i < cascade.size(); ++i) {
+  bool oversized = false;
+  for (std::size_t i = 0; i < cascade.size() && !oversized; ++i) {
     const net::Rule member = cascade[i];
-    for (const net::Rule& c : cached_index_.overlapping(
-             member.match, std::numeric_limits<int>::min())) {
-      if (c.priority > member.priority) continue;
-      if (!seen.insert(c.id).second) continue;
-      cascade.push_back(c);
-      if (static_cast<int>(cascade.size()) > config_.closure_limit)
-        return {};
-    }
+    cached_index_.for_each_overlapping(
+        member.match, std::numeric_limits<int>::min(),
+        [&](const net::Rule& c) {
+          if (c.priority > member.priority || !seen.insert(c.id).second)
+            return true;
+          cascade.push_back(c);
+          oversized =
+              static_cast<int>(cascade.size()) > config_.closure_limit;
+          return !oversized;
+        });
   }
+  if (oversized) return {};
   return cascade;
 }
 
@@ -453,10 +471,10 @@ bool CacheHierarchy::check_invariant() const {
     ++cached_seen;
     if (!asic_.slice(0).contains(id)) return false;
     // No software-only rule at >= priority may overlap a cached rule.
-    for (const net::Rule& s : uncached_index_.overlapping(
-             entry.rule.match, entry.rule.priority - 1)) {
-      if (s.id != id) return false;
-    }
+    const bool clean = uncached_index_.for_each_overlapping(
+        entry.rule.match, entry.rule.priority - 1,
+        [&](const net::Rule& s) { return s.id == id; });
+    if (!clean) return false;
   }
   if (cached_seen != cached_count_) return false;
   if (cached_count_ != asic_.slice(0).occupancy()) return false;

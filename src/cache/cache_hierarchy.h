@@ -122,6 +122,10 @@ class CacheHierarchy {
   int software_resident() const;
   int tcam_occupancy() const { return asic_.slice(0).occupancy(); }
   int tcam_capacity() const { return asic_.slice(0).capacity(); }
+  /// Heap bytes held by the kCache overlap indexes.
+  std::size_t index_bytes() const {
+    return uncached_index_.memory_bytes() + cached_index_.memory_bytes();
+  }
   std::size_t total_rules() const { return entries_.size(); }
   tcam::Asic& asic() { return asic_; }
   const tcam::TableStats& table_stats() const {
@@ -137,6 +141,11 @@ class CacheHierarchy {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t promotions() const { return promotions_; }
+  /// Rules the promotion-closure walks yielded, aborted promotions
+  /// included; each walk stops one rule past `closure_limit`.
+  std::uint64_t closure_rules_visited() const {
+    return closure_rules_visited_;
+  }
   std::uint64_t demotions() const { return demotions_; }
   std::uint64_t promotion_aborts() const { return promotion_aborts_; }
   std::uint64_t pins() const { return pins_; }
@@ -212,6 +221,7 @@ class CacheHierarchy {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t promotions_ = 0;
+  std::uint64_t closure_rules_visited_ = 0;
   std::uint64_t demotions_ = 0;
   std::uint64_t promotion_aborts_ = 0;
   std::uint64_t pins_ = 0;

@@ -113,6 +113,32 @@ TEST(CacheHierarchy, OversizedClosureAbortsPromotion) {
   EXPECT_TRUE(h.check_invariant());
 }
 
+TEST(CacheHierarchy, AbortedClosureVisitsAtMostLimitPlusOneRules) {
+  // A low-priority /8 over 10k higher-priority /32s: deciding that its
+  // closure is oversized must cost O(closure_limit), not O(10k).
+  CacheConfig config = cache_config();
+  ASSERT_EQ(config.closure_limit, 16);
+  CacheHierarchy h(tcam::pica8_p3290(), 64, config);
+  h.handle(0, {FlowModType::kInsert, make_rule(1, 1, "10.0.0.0/8", 1)});
+  for (net::RuleId id = 2; id <= 10'001; ++id)
+    h.handle(0, {FlowModType::kInsert,
+                 Rule{id, 9,
+                      Prefix(net::Ipv4Address(
+                                 0x0A000000u |
+                                 static_cast<std::uint32_t>(id) << 4),
+                             32),
+                      net::forward_to(2)}});
+  touch(h, 0, addr_of("10.255.255.255"));  // matches only the /8
+  ASSERT_EQ(h.closure_rules_visited(), 0u);
+  h.tick(from_millis(1));
+  EXPECT_EQ(h.promotion_aborts(), 1u);
+  EXPECT_EQ(h.promotions(), 0u);
+  EXPECT_LE(h.closure_rules_visited(),
+            static_cast<std::uint64_t>(config.closure_limit) + 1);
+  EXPECT_EQ(h.tcam_occupancy(), 0);
+  EXPECT_TRUE(h.check_invariant());
+}
+
 TEST(CacheHierarchy, InsertDemotesConflictingCachedRule) {
   CacheHierarchy h(tcam::pica8_p3290(), 8, cache_config());
   h.handle(0, {FlowModType::kInsert, make_rule(1, 5, "10.2.0.1/32", 1)});
