@@ -114,12 +114,8 @@ void HermesAgent::note_retry(Time at, int slice, int attempt) {
 
 HermesAgent::RetriedInsert HermesAgent::submit_insert_with_retry(
     Time now, int slice, const net::Rule& rule) {
-  auto submit = [&](Time at, tcam::ApplyResult* result) {
-    return slice == kShadow ? submit_shadow_insert(at, rule, result)
-                            : submit_main_insert(at, rule, result);
-  };
   RetriedInsert r;
-  r.completion = submit(now, &r.last);
+  r.completion = submit_insert(now, slice, rule, &r.last);
   r.total_latency = r.last.latency;
   if (r.last.ok || asic_.fault_plan() == nullptr) return r;
   Duration backoff = config_.insert_retry_backoff;
@@ -127,12 +123,70 @@ HermesAgent::RetriedInsert HermesAgent::submit_insert_with_retry(
        attempt <= config_.insert_retry_limit && !r.last.ok; ++attempt) {
     Time at = r.completion + backoff;
     note_retry(at, slice, attempt);
-    r.completion = submit(at, &r.last);
+    r.completion = submit_insert(at, slice, rule, &r.last);
     r.total_latency += r.last.latency;
-    ++r.attempts;
     backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
   }
   return r;
+}
+
+HermesAgent::RetriedInsert HermesAgent::place_whole_in_main(Time now,
+                                                            net::RuleId lid) {
+  const net::Rule original = store_.find(lid)->original;
+  RetriedInsert r = submit_insert_with_retry(now, kMain, original);
+  if (r.last.ok) store_.rebind(lid, Placement::kMain, {original.id}, false, {});
+  return r;
+}
+
+HermesAgent::BatchWrite HermesAgent::write_batch(
+    Time now, int slice, const std::vector<net::Rule>& rules,
+    bool guaranteed) {
+  BatchWrite w{0, now, 0};
+  if (rules.empty()) return w;
+  tcam::Asic::BatchResult result;
+  w.done = asic_.submit_batch_insert(now, slice, rules, &result);
+  w.first_latency = result.latency;
+  w.landed = static_cast<std::size_t>(result.inserted);
+  if (guaranteed) note_guaranteed_latency(result.latency);
+  if (asic_.fault_plan() == nullptr) return w;
+  Duration backoff = config_.insert_retry_backoff;
+  for (int attempt = 1;
+       attempt <= config_.insert_retry_limit && w.landed < rules.size();
+       ++attempt) {
+    Time at = w.done + backoff;
+    note_retry(at, slice, attempt);
+    std::vector<net::Rule> rest(
+        rules.begin() + static_cast<std::ptrdiff_t>(w.landed), rules.end());
+    w.done = asic_.submit_batch_insert(at, slice, rest, &result);
+    if (guaranteed) note_guaranteed_latency(result.latency);
+    w.landed += static_cast<std::size_t>(result.inserted);
+    backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
+  }
+  return w;
+}
+
+// --- Algorithm 1 cover -------------------------------------------------------
+
+HermesAgent::Cover HermesAgent::cover(const net::Rule& rule) const {
+  Cover c;
+  c.cut = partition_new_rule(rule, main_index_, config_.merge_partitions);
+  c.partitioned =
+      !(c.cut.pieces.size() == 1 && c.cut.pieces[0] == rule.match);
+  for (net::RuleId pid : c.cut.cut_against)
+    if (auto lid = store_.logical_of(pid)) c.blockers.push_back(*lid);
+  return c;
+}
+
+void HermesAgent::lay_pieces(const net::Rule& rule, const Cover& cover,
+                             bool keep_id, std::vector<net::Rule>& out) {
+  if (keep_id && !cover.partitioned) {
+    out.push_back(rule);
+    return;
+  }
+  std::vector<net::Rule> pieces =
+      materialize_partitions(rule, cover.cut, piece_id_counter_);
+  piece_id_counter_ += pieces.size();
+  out.insert(out.end(), pieces.begin(), pieces.end());
 }
 
 // --- Control plane entry points ---------------------------------------------
@@ -202,7 +256,96 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
     rules.push_back(rule);
     ++stats_.inserts;
   }
+  RouteContext ctx = route_context();
+  std::vector<Route> routes =
+      gate_keeper_->route_insert_batch(now, rules, ctx);
 
+  // Cut every admitted rule against ONE main-table snapshot and lay its
+  // pieces into ONE shadow batch: fallback main inserts are deferred until
+  // after the batch, so main_index_ does not move under the planner.
+  struct Admitted {
+    std::size_t pos;  ///< index into run/rules
+    bool partitioned;
+    std::vector<net::RuleId> blockers;
+  };
+  std::vector<Admitted> admitted;
+  SpanLedger ledger;
+  std::vector<std::pair<std::size_t, bool>> fallback;  // (pos, violation)
+  int shadow_free = ctx.shadow_free;
+  for (std::size_t pos = 0; pos < run.size(); ++pos) {
+    const net::Rule& rule = rules[pos];
+    if (routes[pos] != Route::kGuaranteed) {
+      fallback.emplace_back(pos, routes[pos] == Route::kMainShadowFull);
+      continue;
+    }
+    Cover c = cover(rule);
+    if (c.redundant()) {
+      record_redundant(rule, std::move(c.blockers));
+      batch.complete(run[pos], now, true);
+      continue;
+    }
+    if (c.size() > shadow_free) {
+      // Shadow cannot absorb the pieces: guarantee missed, fall back.
+      ++stats_.violations;
+      fallback.emplace_back(pos, false);
+      continue;
+    }
+    shadow_free -= c.size();
+    lay_pieces(rule, c, /*keep_id=*/true, ledger.batch);
+    ledger.close_span();
+    admitted.push_back({pos, c.partitioned, std::move(c.blockers)});
+  }
+
+  Time barrier = now;
+  if (!ledger.batch.empty()) {
+    // The batch write is one control-plane action on the TCAM: the
+    // guarantee is judged on its channel occupation, like a migration
+    // batch (and once more per suffix retry under faults).
+    BatchWrite w = write_batch(now, kShadow, ledger.batch, /*guaranteed=*/true);
+    obs_shadow_batch_pieces_.record(ledger.batch.size());
+    stats_.worst_guaranteed_latency =
+        std::max(stats_.worst_guaranteed_latency, w.done - now);
+    std::vector<net::RuleId> rollback;
+    for (std::size_t s = 0; s < admitted.size(); ++s) {
+      Admitted& a = admitted[s];
+      if (ledger.settle(s, [&](std::size_t i) { return i < w.landed; },
+                        rollback) > 0) {
+        // Only faults get here (capacity and duplicate ids are
+        // pre-checked): a piece was still un-landed when the suffix
+        // retries ran dry. Its landed siblings are rolled back below and
+        // the rule falls back to the main table.
+        ++stats_.violations;
+        fallback.emplace_back(a.pos, false);
+        continue;
+      }
+      std::span<const net::Rule> pieces = ledger.pieces(s);
+      for (const net::Rule& piece : pieces) shadow_index_.insert(piece);
+      commit_guaranteed(now, rules[a.pos], ledger.ids(s), a.partitioned,
+                        std::move(a.blockers));
+      // Amortize the batch channel occupation over its pieces so the
+      // per-insert op-latency samples still sum to the channel time.
+      record_rit(w.done - now,
+                 static_cast<Duration>(
+                     static_cast<std::uint64_t>(w.first_latency) *
+                     pieces.size() / ledger.batch.size()));
+      batch.complete(run[a.pos], w.done, true);
+    }
+    if (!rollback.empty()) asic_.submit_batch_delete(now, kShadow, rollback);
+    barrier = std::max(barrier, w.done);
+  }
+
+  // Deferred main-table fallbacks, in batch order. Each one runs
+  // repartition_shadow_overlaps, which restores joint-table equivalence
+  // for any shadow rule the new main rule masks.
+  for (const auto& [pos, violation] : fallback) {
+    Time done = insert_to_main(now, rules[pos], violation);
+    batch.complete(run[pos], done, store_.contains(rules[pos].id));
+    barrier = std::max(barrier, done);
+  }
+  return barrier;
+}
+
+RouteContext HermesAgent::route_context() const {
   const tcam::TcamTable& shadow = asic_.slice(kShadow);
   const tcam::TcamTable& main = asic_.slice(kMain);
   RouteContext ctx;
@@ -211,161 +354,32 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
   ctx.main_min_priority = main_min_priority();
   ctx.main_empty = main.empty();
   ctx.main_full = main.full();
-  std::vector<Route> routes =
-      gate_keeper_->route_insert_batch(now, rules, ctx);
+  return ctx;
+}
 
-  // Plan partitioning for every admitted rule against ONE main-table
-  // snapshot: fallback main inserts are deferred until after the shadow
-  // batch, so main_index_ does not move under the planner.
-  struct Planned {
-    std::size_t run_pos = 0;          ///< index into run/rules
-    std::vector<net::Rule> pieces;
-    bool partitioned = false;
-    std::vector<net::RuleId> blockers;
-    std::size_t first_piece = 0;      ///< offset into the combined batch
-  };
-  std::vector<Planned> planned;
-  std::vector<std::size_t> fallback;  // run positions -> insert_to_main
-  std::vector<bool> fallback_violation;
-  int shadow_free = ctx.shadow_free;
-  Time barrier = now;
-  for (std::size_t pos = 0; pos < run.size(); ++pos) {
-    const net::Rule& rule = rules[pos];
-    if (routes[pos] != Route::kGuaranteed) {
-      fallback.push_back(pos);
-      fallback_violation.push_back(routes[pos] == Route::kMainShadowFull);
-      continue;
-    }
-    PartitionResult partition =
-        partition_new_rule(rule, main_index_, config_.merge_partitions);
-    if (partition.redundant) {
-      // Figure 5 (a): handled entirely in agent software.
-      ++stats_.redundant_inserts;
-      std::vector<net::RuleId> blockers;
-      for (net::RuleId pid : partition.cut_against)
-        if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
-      store_.add(LogicalRule{rule, Placement::kMain, {}, true,
-                             std::move(blockers)});
-      record_rit(0, 0);
-      batch.complete(run[pos], now, true);
-      continue;
-    }
-    if (static_cast<int>(partition.pieces.size()) > shadow_free) {
-      // Shadow cannot absorb the pieces: guarantee missed, fall back.
-      ++stats_.violations;
-      fallback.push_back(pos);
-      fallback_violation.push_back(false);
-      continue;
-    }
-    shadow_free -= static_cast<int>(partition.pieces.size());
-    Planned p;
-    p.run_pos = pos;
-    p.partitioned = !(partition.pieces.size() == 1 &&
-                      partition.pieces[0] == rule.match);
-    if (!p.partitioned) {
-      p.pieces.push_back(rule);  // keep the controller's id for 1:1
-    } else {
-      p.pieces = materialize_partitions(rule, partition, piece_id_counter_);
-      piece_id_counter_ += p.pieces.size();
-    }
-    for (net::RuleId pid : partition.cut_against)
-      if (auto lid = store_.logical_of(pid)) p.blockers.push_back(*lid);
-    planned.push_back(std::move(p));
-  }
+void HermesAgent::record_redundant(const net::Rule& rule,
+                                   std::vector<net::RuleId> blockers) {
+  ++stats_.redundant_inserts;
+  store_.add(
+      LogicalRule{rule, Placement::kMain, {}, true, std::move(blockers)});
+  record_rit(0, 0);
+}
 
-  // ONE optimized shadow write for every planned piece.
-  std::vector<net::Rule> all_pieces;
-  for (Planned& p : planned) {
-    p.first_piece = all_pieces.size();
-    all_pieces.insert(all_pieces.end(), p.pieces.begin(), p.pieces.end());
+void HermesAgent::commit_guaranteed(Time now, const net::Rule& rule,
+                                    std::vector<net::RuleId> piece_ids,
+                                    bool partitioned,
+                                    std::vector<net::RuleId> blockers) {
+  const std::size_t pieces = piece_ids.size();
+  const int blocker_count = static_cast<int>(blockers.size());
+  store_.add(LogicalRule{rule, Placement::kShadow, std::move(piece_ids),
+                         partitioned, std::move(blockers)});
+  ++stats_.guaranteed_inserts;
+  stats_.partition_pieces += pieces;
+  arrivals_this_epoch_ += static_cast<double>(pieces);
+  if (partitioned) {
+    obs::trace_event(obs::partition_expand_event(
+        now, static_cast<int>(pieces), blocker_count));
   }
-  if (!all_pieces.empty()) {
-    tcam::Asic::BatchResult bresult;
-    Time done =
-        asic_.submit_batch_insert(now, kShadow, all_pieces, &bresult);
-    obs_shadow_batch_pieces_.record(all_pieces.size());
-    // The batch write is one control-plane action on the TCAM; judge the
-    // guarantee on its channel occupation once, like a migration batch.
-    note_guaranteed_latency(bresult.latency);
-    std::size_t landed = static_cast<std::size_t>(bresult.inserted);
-    if (landed < all_pieces.size() && asic_.fault_plan() != nullptr) {
-      // An injected failure truncated the batch: resubmit the un-landed
-      // suffix with capped exponential backoff. Prefix semantics hold
-      // across attempts, so the per-rule landed check below still works.
-      Duration backoff = config_.insert_retry_backoff;
-      for (int attempt = 1; attempt <= config_.insert_retry_limit &&
-                            landed < all_pieces.size();
-           ++attempt) {
-        Time at = done + backoff;
-        note_retry(at, kShadow, attempt);
-        std::vector<net::Rule> rest(
-            all_pieces.begin() + static_cast<std::ptrdiff_t>(landed),
-            all_pieces.end());
-        tcam::Asic::BatchResult r2;
-        done = asic_.submit_batch_insert(at, kShadow, rest, &r2);
-        note_guaranteed_latency(r2.latency);
-        landed += static_cast<std::size_t>(r2.inserted);
-        backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
-      }
-    }
-    stats_.worst_guaranteed_latency =
-        std::max(stats_.worst_guaranteed_latency, done - now);
-    for (const Planned& p : planned) {
-      const net::Rule& rule = rules[p.run_pos];
-      const std::size_t end = p.first_piece + p.pieces.size();
-      if (end <= landed) {
-        for (const net::Rule& piece : p.pieces) shadow_index_.insert(piece);
-        std::vector<net::RuleId> piece_ids;
-        piece_ids.reserve(p.pieces.size());
-        for (const net::Rule& piece : p.pieces)
-          piece_ids.push_back(piece.id);
-        std::vector<net::RuleId> blockers = p.blockers;
-        const std::size_t blocker_count = blockers.size();
-        store_.add(LogicalRule{rule, Placement::kShadow,
-                               std::move(piece_ids), p.partitioned,
-                               std::move(blockers)});
-        ++stats_.guaranteed_inserts;
-        stats_.partition_pieces += p.pieces.size();
-        arrivals_this_epoch_ += static_cast<double>(p.pieces.size());
-        if (p.partitioned) {
-          obs::trace_event(obs::partition_expand_event(
-              now, static_cast<int>(p.pieces.size()),
-              static_cast<int>(blocker_count)));
-        }
-        // Amortize the batch channel occupation over its pieces so the
-        // per-insert op-latency samples still sum to the channel time.
-        Duration amortized = static_cast<Duration>(
-            static_cast<std::uint64_t>(bresult.latency) * p.pieces.size() /
-            all_pieces.size());
-        record_rit(done - now, amortized);
-        batch.complete(run[p.run_pos], done, true);
-      } else {
-        // Defensive only (capacity and duplicate ids are pre-checked): a
-        // piece was rejected mid-batch. Roll this rule's landed siblings
-        // back out of the shadow slice and fall back to the main table.
-        std::vector<net::RuleId> landed_ids;
-        for (std::size_t j = p.first_piece; j < std::min(end, landed); ++j)
-          landed_ids.push_back(all_pieces[j].id);
-        asic_.submit_batch_delete(now, kShadow, landed_ids);
-        ++stats_.violations;
-        fallback.push_back(p.run_pos);
-        fallback_violation.push_back(false);
-      }
-    }
-    barrier = std::max(barrier, done);
-  }
-
-  // Deferred main-table fallbacks, in batch order. Each one runs
-  // repartition_shadow_overlaps, which restores joint-table equivalence
-  // for any shadow rule the new main rule masks.
-  for (std::size_t f = 0; f < fallback.size(); ++f) {
-    const std::size_t pos = fallback[f];
-    const net::Rule& rule = rules[pos];
-    Time done = insert_to_main(now, rule, fallback_violation[f]);
-    batch.complete(run[pos], done, store_.contains(rule.id));
-    barrier = std::max(barrier, done);
-  }
-  return barrier;
 }
 
 Time HermesAgent::insert(Time now, const net::Rule& rule) {
@@ -373,55 +387,26 @@ Time HermesAgent::insert(Time now, const net::Rule& rule) {
   if (store_.contains(rule.id)) return modify(now, rule);
   ++stats_.inserts;
 
-  const tcam::TcamTable& shadow = asic_.slice(kShadow);
-  const tcam::TcamTable& main = asic_.slice(kMain);
-  RouteContext ctx;
-  ctx.shadow_free = shadow.capacity() - shadow.occupancy();
-  ctx.pieces_needed = 1;  // provisional; refined after partitioning
-  ctx.main_min_priority = main_min_priority();
-  ctx.main_empty = main.empty();
-  ctx.main_full = main.full();
-
+  RouteContext ctx = route_context();
   Route route = gate_keeper_->route_insert(now, rule, ctx);
   if (route != Route::kGuaranteed) {
     return insert_to_main(now, rule,
                           /*count_violation=*/route == Route::kMainShadowFull);
   }
-
-  PartitionResult partition =
-      partition_new_rule(rule, main_index_, config_.merge_partitions);
-  if (partition.redundant) {
-    // Figure 5 (a): the rule could never match; record it (with its
-    // blockers) so a later blocker deletion can materialize it.
-    ++stats_.redundant_inserts;
-    std::vector<net::RuleId> blockers;
-    for (net::RuleId pid : partition.cut_against)
-      if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
-    store_.add(LogicalRule{rule, Placement::kMain, {}, true,
-                           std::move(blockers)});
-    record_rit(0, 0);
-    return now;  // handled entirely in agent software
+  Cover c = cover(rule);
+  if (c.redundant()) {
+    record_redundant(rule, std::move(c.blockers));
+    return now;
   }
-  if (static_cast<int>(partition.pieces.size()) > ctx.shadow_free) {
+  if (c.size() > ctx.shadow_free) {
     // Shadow cannot absorb the pieces: guarantee missed, fall back.
     ++stats_.violations;
     return insert_to_main(now, rule, /*count_violation=*/false);
   }
-  return insert_guaranteed(now, rule, std::move(partition));
-}
-
-Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
-                                    PartitionResult partition) {
   std::vector<net::Rule> pieces;
-  bool partitioned = !(partition.pieces.size() == 1 &&
-                       partition.pieces[0] == rule.match);
-  if (!partitioned) {
-    pieces.push_back(rule);  // keep the controller's id for the 1:1 case
-  } else {
-    pieces = materialize_partitions(rule, partition, piece_id_counter_);
-    piece_id_counter_ += pieces.size();
-  }
+  lay_pieces(rule, c, /*keep_id=*/true, pieces);
 
+  // Per-piece writes: each piece is its own guaranteed TCAM action.
   Time completion = now;
   Duration op_latency = 0;
   Duration worst_piece = 0;
@@ -461,21 +446,8 @@ Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
     return insert_to_main(completion, rule, /*count_violation=*/false,
                           /*arrival=*/now);
   }
-  std::vector<net::RuleId> blockers;
-  for (net::RuleId pid : partition.cut_against)
-    if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
-  const std::size_t blocker_count = blockers.size();
-  store_.add(LogicalRule{rule, Placement::kShadow, std::move(piece_ids),
-                         partitioned, std::move(blockers)});
-
-  ++stats_.guaranteed_inserts;
-  stats_.partition_pieces += pieces.size();
-  arrivals_this_epoch_ += static_cast<double>(pieces.size());
-  if (partitioned) {
-    obs::trace_event(obs::partition_expand_event(
-        now, static_cast<int>(pieces.size()),
-        static_cast<int>(blocker_count)));
-  }
+  commit_guaranteed(now, rule, std::move(piece_ids), c.partitioned,
+                    std::move(c.blockers));
 
   // The guarantee is per control-plane ACTION on the TCAM: a partitioned
   // insert is several actions, each individually bounded by the shadow
@@ -540,10 +512,8 @@ Time HermesAgent::erase(Time now, net::RuleId logical_id) {
     spill_forget(logical_id);
     completion = now + config_.spill_insert;
   } else {
-    for (net::RuleId pid : lr->physical_ids) {
-      if (const net::Rule* rule = asic_.slice(kShadow).find_ptr(pid))
-        completion = submit_shadow_delete(now, pid, rule->match);
-    }
+    for (net::RuleId pid : lr->physical_ids)
+      completion = std::max(completion, drop_piece(now, kShadow, pid));
   }
   store_.remove(logical_id);
   return completion;
@@ -571,8 +541,7 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
     }
     Time completion = now;
     int slice_idx = lr->placement == Placement::kShadow ? kShadow : kMain;
-    OverlapIndex& index =
-        lr->placement == Placement::kShadow ? shadow_index_ : main_index_;
+    OverlapIndex& index = index_of(slice_idx);
     for (net::RuleId pid : lr->physical_ids) {
       auto piece = asic_.slice(slice_idx).find(pid);
       if (!piece) continue;
@@ -669,10 +638,9 @@ void HermesAgent::drain_spill(Time now) {
   int drained = 0;
   for (const SpillEntry* entry : order) {
     const net::Rule rule = entry->rule;
-    RetriedInsert r = submit_insert_with_retry(now, kMain, rule);
-    if (!r.last.ok) break;  // table refilled (or faults): try next tick
+    // Table refilled (or faults): try next tick.
+    if (!place_whole_in_main(now, rule.id).last.ok) break;
     spill_forget(rule.id);
-    store_.rebind(rule.id, Placement::kMain, {rule.id}, false, {});
     ++stats_.main_inserts;
     ++stats_.spill_drains;
     obs_spill_drains_.inc();
@@ -712,115 +680,86 @@ void HermesAgent::repartition_shadow_overlaps(Time now,
 
 void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
   LogicalRule* lr = store_.find_mutable(logical_id);
-  if (!lr) return;
   // Spilled rules have no TCAM pieces to re-cut; the software tier
   // matches their full original form.
-  if (lr->placement == Placement::kSoftware) return;
+  if (!lr || lr->placement == Placement::kSoftware) return;
   const Placement placement = lr->placement;
+  const int slice = placement == Placement::kShadow ? kShadow : kMain;
   const net::Rule original = lr->original;
   const std::vector<net::RuleId> old_pieces = lr->physical_ids;
-
-  PartitionResult partition = partition_new_rule(
-      original, main_index_, config_.merge_partitions);
-  std::vector<net::RuleId> blockers;
-  for (net::RuleId pid : partition.cut_against)
-    if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
+  Cover c = cover(original);
 
   // No-op fast path: if the recomputed cover equals the installed one,
   // only refresh the dependency edges — no TCAM churn. (Without this,
   // repeated triggers — e.g. a rule repeatedly skipped by migration —
   // would delete and reinsert identical pieces forever.)
   {
-    const tcam::TcamTable& table =
-        asic_.slice(placement == Placement::kShadow ? kShadow : kMain);
     std::vector<net::Prefix> current;
     current.reserve(old_pieces.size());
     for (net::RuleId pid : old_pieces)
-      if (const net::Rule* rule = table.find_ptr(pid))
+      if (const net::Rule* rule = asic_.slice(slice).find_ptr(pid))
         current.push_back(rule->match);
-    std::vector<net::Prefix> target = partition.pieces;
+    std::vector<net::Prefix> target = c.cut.pieces;
     std::sort(current.begin(), current.end());
     std::sort(target.begin(), target.end());
     if (current == target && current.size() == old_pieces.size()) {
-      store_.rebind(logical_id, placement, old_pieces,
-                    lr->partitioned, std::move(blockers));
+      store_.rebind(logical_id, placement, old_pieces, lr->partitioned,
+                    std::move(c.blockers));
       return;
     }
   }
 
   std::vector<net::Rule> new_pieces;
-  if (!partition.redundant) {
-    new_pieces =
-        materialize_partitions(original, partition, piece_id_counter_);
-    piece_id_counter_ += new_pieces.size();
-  }
+  lay_pieces(original, c, /*keep_id=*/false, new_pieces);
 
   // Insert the replacement pieces first, then delete the old ones: at
   // every instant each packet matches either the old or the new cover.
+  // Fault-free every write lands (an organic failure cannot happen here).
   std::vector<net::RuleId> new_ids;
   new_ids.reserve(new_pieces.size());
   for (const net::Rule& piece : new_pieces) {
-    RetriedInsert r = submit_insert_with_retry(
-        now, placement == Placement::kShadow ? kShadow : kMain, piece);
-    // Fault-free the push is unconditional (an organic failure cannot
-    // happen here); under a fault plan a piece whose retries ran dry is
-    // dropped from the cover and counted as a failed op.
-    if (r.last.ok || asic_.fault_plan() == nullptr) {
-      new_ids.push_back(piece.id);
-    } else {
-      ++stats_.failed_ops;
+    if (!submit_insert_with_retry(now, slice, piece).last.ok &&
+        asic_.fault_plan() != nullptr) {
+      // Retries ran dry: a short cover would leave holes, so roll the new
+      // pieces back and place the rule whole in main instead — the
+      // insert_to_main fallback, re-cutting the shadow rules it masks.
+      for (net::RuleId pid : new_ids) drop_piece(now, slice, pid);
+      bool placed = place_whole_in_main(now, logical_id).last.ok;
+      for (net::RuleId pid : old_pieces) drop_piece(now, slice, pid);
+      if (!placed) {
+        // Gone from the data plane: stop pretending otherwise.
+        unpartition_dependents(now, logical_id);
+        store_.remove(logical_id);
+        ++stats_.failed_ops;
+        return;
+      }
+      ++stats_.main_inserts;
+      repartition_shadow_overlaps(now, original);
+      return;
     }
+    new_ids.push_back(piece.id);
   }
-  for (net::RuleId pid : old_pieces) {
-    if (placement == Placement::kShadow) {
-      if (auto rule = asic_.slice(kShadow).find(pid))
-        submit_shadow_delete(now, pid, rule->match);
-    } else {
-      if (auto rule = asic_.slice(kMain).find(pid))
-        submit_main_delete(now, pid, rule->match);
-    }
-  }
-  store_.rebind(logical_id, placement, std::move(new_ids),
-                !partition.redundant &&
-                    !(partition.pieces.size() == 1 &&
-                      partition.pieces[0] == original.match),
-                std::move(blockers));
+  for (net::RuleId pid : old_pieces) drop_piece(now, slice, pid);
+  store_.rebind(logical_id, placement, std::move(new_ids), c.partitioned,
+                std::move(c.blockers));
 }
 
 // --- Physical mutation helpers -------------------------------------------------
 
-Time HermesAgent::submit_shadow_insert(Time now, const net::Rule& rule,
-                                       tcam::ApplyResult* result) {
-  tcam::ApplyResult local;
+Time HermesAgent::submit_insert(Time now, int slice, const net::Rule& rule,
+                                tcam::ApplyResult* result) {
   Time done =
-      asic_.submit(now, kShadow, {net::FlowModType::kInsert, rule}, &local);
-  if (local.ok) shadow_index_.insert(rule);
-  if (result) *result = local;
+      asic_.submit(now, slice, {net::FlowModType::kInsert, rule}, result);
+  if (result->ok) index_of(slice).insert(rule);
   return done;
 }
 
-Time HermesAgent::submit_shadow_delete(Time now, net::RuleId id,
-                                       const net::Prefix& match) {
-  shadow_index_.erase(id, match);
+Time HermesAgent::drop_piece(Time now, int slice, net::RuleId id) {
+  const net::Rule* piece = asic_.slice(slice).find_ptr(id);
+  if (!piece) return now;
+  index_of(slice).erase(id, piece->match);
   net::FlowMod del{net::FlowModType::kDelete, net::Rule{id, 0, {}, {}}};
-  return asic_.submit(now, kShadow, del);
-}
-
-Time HermesAgent::submit_main_insert(Time now, const net::Rule& rule,
-                                     tcam::ApplyResult* result) {
-  tcam::ApplyResult local;
-  Time done =
-      asic_.submit(now, kMain, {net::FlowModType::kInsert, rule}, &local);
-  if (local.ok) main_index_.insert(rule);
-  if (result) *result = local;
-  return done;
-}
-
-Time HermesAgent::submit_main_delete(Time now, net::RuleId id,
-                                     const net::Prefix& match) {
-  if (asic_.slice(kMain).contains(id)) main_index_.erase(id, match);
-  net::FlowMod del{net::FlowModType::kDelete, net::Rule{id, 0, {}, {}}};
-  return asic_.submit(now, kMain, del);
+  return asic_.submit(now, slice, del);
 }
 
 }  // namespace hermes::core

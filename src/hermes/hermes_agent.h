@@ -25,6 +25,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -200,8 +201,77 @@ class HermesAgent {
   static constexpr int kMain = 1;
 
   // --- Gate Keeper path helpers (hermes_agent.cpp) ------------------------
-  Time insert_guaranteed(Time now, const net::Rule& rule,
-                         PartitionResult partition);
+  RouteContext route_context() const;
+  /// Figure 5 (a): records a rule that could never match (with its
+  /// blockers, so a later blocker deletion can materialize it). Handled
+  /// entirely in agent software.
+  void record_redundant(const net::Rule& rule,
+                        std::vector<net::RuleId> blockers);
+  /// Books a guaranteed insert whose pieces all landed in the shadow slice.
+  void commit_guaranteed(Time now, const net::Rule& rule,
+                         std::vector<net::RuleId> piece_ids, bool partitioned,
+                         std::vector<net::RuleId> blockers);
+
+  // --- The one cut/write/settle path behind every rule write ---------------
+  /// A rule's Algorithm 1 cover against the current main table.
+  struct Cover {
+    PartitionResult cut;  ///< residual prefixes and the cutting main pieces
+    bool partitioned = false;           ///< pieces differ from the match
+    std::vector<net::RuleId> blockers;  ///< logical ids of cut.cut_against
+    bool redundant() const { return cut.redundant; }
+    int size() const { return static_cast<int>(cut.pieces.size()); }
+  };
+  Cover cover(const net::Rule& rule) const;
+  /// Appends `rule`'s pieces to `out`: the rule itself when it is whole
+  /// and `keep_id` (the controller's id survives 1:1), otherwise one rule
+  /// per residual prefix under fresh piece ids.
+  void lay_pieces(const net::Rule& rule, const Cover& cover, bool keep_id,
+                  std::vector<net::Rule>& out);
+
+  /// Several rules' pieces laid into one batch, one span per rule.
+  struct SpanLedger {
+    std::vector<net::Rule> batch;
+    std::vector<std::size_t> ends;  ///< span s is [begin(s), ends[s])
+
+    void close_span() { ends.push_back(batch.size()); }
+    std::size_t begin(std::size_t s) const { return s == 0 ? 0 : ends[s - 1]; }
+    std::span<const net::Rule> pieces(std::size_t s) const {
+      return {batch.data() + begin(s), ends[s] - begin(s)};
+    }
+    /// Settles span `s` against the per-position outcome `ok(i)`: returns
+    /// how many of its pieces failed (0: the rule fully landed) and, on
+    /// failure, appends its landed siblings to `rollback`.
+    template <class Ok>
+    std::size_t settle(std::size_t s, Ok ok,
+                       std::vector<net::RuleId>& rollback) const {
+      std::size_t failed = 0;
+      for (std::size_t i = begin(s); i < ends[s]; ++i) failed += ok(i) ? 0 : 1;
+      if (failed > 0) {
+        for (std::size_t i = begin(s); i < ends[s]; ++i)
+          if (ok(i)) rollback.push_back(batch[i].id);
+      }
+      return failed;
+    }
+    std::vector<net::RuleId> ids(std::size_t s) const {
+      std::vector<net::RuleId> out;
+      out.reserve(ends[s] - begin(s));
+      for (const net::Rule& piece : pieces(s)) out.push_back(piece.id);
+      return out;
+    }
+  };
+
+  /// One optimized batch write; under a fault plan the un-landed suffix is
+  /// resubmitted with capped exponential backoff (prefix semantics hold
+  /// across attempts). `guaranteed` judges every attempt's channel
+  /// occupation against the guarantee.
+  struct BatchWrite {
+    std::size_t landed = 0;        ///< batch prefix resident in the slice
+    Time done = 0;
+    Duration first_latency = 0;    ///< channel occupation of attempt one
+  };
+  BatchWrite write_batch(Time now, int slice,
+                         const std::vector<net::Rule>& rules, bool guaranteed);
+
   /// Applies one maximal run of fresh inserts from `batch` (indices in
   /// `run`, batch order) through the batched guaranteed path.
   Time flush_insert_run(Time now, net::FlowModBatch& batch,
@@ -233,10 +303,12 @@ class HermesAgent {
     tcam::ApplyResult last;      ///< outcome of the final attempt
     Duration total_latency = 0;  ///< channel occupation across attempts
     Time completion = 0;
-    int attempts = 1;
   };
   RetriedInsert submit_insert_with_retry(Time now, int slice,
                                          const net::Rule& rule);
+  /// Writes stored rule `lid` whole into main (controller id, no cuts)
+  /// and rebinds it there when the write lands.
+  RetriedInsert place_whole_in_main(Time now, net::RuleId lid);
   void note_retry(Time at, int slice, int attempt);
 
   /// Applies pending scheduled resets and, if the ASIC rebooted since we
@@ -251,20 +323,21 @@ class HermesAgent {
 
   /// Re-derives a logical rule's partitions against the current main
   /// index and swaps its physical pieces in `placement` (insert new, then
-  /// delete old: per-packet consistency).
+  /// delete old: per-packet consistency). If a new piece exhausts its
+  /// retries, the rule is placed whole in main instead (or dropped as a
+  /// failed op when main refuses too) — never left with a partial cover.
   void repartition_logical(Time now, net::RuleId logical_id);
 
-  // --- Physical table mutation (keeps indices + priority set in sync) -----
-  Time submit_shadow_insert(Time now, const net::Rule& rule,
-                            tcam::ApplyResult* result = nullptr);
-  Time submit_shadow_delete(Time now, net::RuleId id,
-                            const net::Prefix& match);
-  Time submit_main_insert(Time now, const net::Rule& rule,
-                          tcam::ApplyResult* result = nullptr);
-  Time submit_main_delete(Time now, net::RuleId id, const net::Prefix& match);
+  // --- Physical table mutation (keeps the overlap indices in sync) ---------
+  OverlapIndex& index_of(int slice) {
+    return slice == kShadow ? shadow_index_ : main_index_;
+  }
+  Time submit_insert(Time now, int slice, const net::Rule& rule,
+                     tcam::ApplyResult* result);
+  /// Deletes piece `id` from `slice`; an absent piece is a no-op at `now`.
+  Time drop_piece(Time now, int slice, net::RuleId id);
 
   int main_min_priority() const;
-  net::RuleId next_piece_id() { return piece_id_counter_++; }
   void record_rit(Duration sojourn, Duration op_latency) {
     rit_samples_.push_back(sojourn);
     op_latency_samples_.push_back(op_latency);

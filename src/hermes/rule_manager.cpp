@@ -163,58 +163,39 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
   // rules need no cuts between themselves (the main TCAM disambiguates
   // same-table overlaps by priority), and blockers deleted since the
   // original cut get their regions merged back — this is the
-  // "defragmentation" that makes the optimizer worthwhile.
-  struct Planned {
+  // "defragmentation" that makes the optimizer worthwhile. Every moved
+  // rule gets fresh piece ids, whole or not.
+  struct Moving {
     net::RuleId lid;
-    std::vector<net::Rule> pieces;
+    bool partitioned;
     std::vector<net::RuleId> blockers;
-    bool partitioned = false;
   };
-  std::vector<Planned> plan;
-  plan.reserve(shadow_lids.size());
+  std::vector<Moving> moving;
+  SpanLedger ledger;
+  std::vector<net::RuleId> skipped;
+  int free_slots = asic_.slice(kMain).capacity() -
+                   asic_.slice(kMain).occupancy();
   for (net::RuleId lid : shadow_lids) {
-    const LogicalRule* lr = store_.find(lid);
-    PartitionResult partition = partition_new_rule(
-        lr->original, main_index_, config_.merge_partitions);
-    Planned item;
-    item.lid = lid;
-    if (!partition.redundant) {
-      bool unchanged = partition.pieces.size() == 1 &&
-                       partition.pieces[0] == lr->original.match;
-      item.partitioned = !unchanged;
-      item.pieces = materialize_partitions(lr->original, partition,
-                                           piece_id_counter_);
-      piece_id_counter_ += item.pieces.size();
+    const net::Rule& original = store_.find(lid)->original;
+    Cover c = cover(original);
+    if (c.size() > free_slots) {
+      // No room in main: the rule stays behind. The optimizer numbers the
+      // whole plan, so its piece ids are spent all the same.
+      piece_id_counter_ += c.cut.pieces.size();
+      skipped.push_back(lid);
+      continue;
     }
-    for (net::RuleId pid : partition.cut_against)
-      if (auto blocker = store_.logical_of(pid))
-        item.blockers.push_back(*blocker);
-    plan.push_back(std::move(item));
+    free_slots -= c.size();
+    lay_pieces(original, c, /*keep_id=*/false, ledger.batch);
+    ledger.close_span();
+    moving.push_back({lid, c.partitioned, std::move(c.blockers)});
   }
 
   // Step 3: write the optimized rules into the main table as one batch
-  // per migration (the Section 5.2 optimized write). The shadow copies
-  // are still live, so every packet keeps matching a rule throughout.
-  tcam::TcamTable& main = asic_.slice(kMain);
-  std::vector<net::Rule> batch;
-  struct Span {
-    std::size_t plan_idx;
-    std::size_t begin;  // [begin, end) range of this rule's pieces in batch
-    std::size_t end;
-  };
-  std::vector<Span> spans;
-  std::vector<std::size_t> skipped;
-  int free_slots = main.capacity() - main.occupancy();
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    int needed = static_cast<int>(plan[i].pieces.size());
-    if (needed > free_slots) {
-      skipped.push_back(i);
-      continue;
-    }
-    free_slots -= needed;
-    spans.push_back({i, batch.size(), batch.size() + plan[i].pieces.size()});
-    batch.insert(batch.end(), plan[i].pieces.begin(), plan[i].pieces.end());
-  }
+  // per migration (the Section 5.2 optimized write; no retry — a failed
+  // run re-queues itself below). The shadow copies are still live, so
+  // every packet keeps matching a rule throughout.
+  const std::vector<net::Rule>& batch = ledger.batch;
   Time main_done = now;
   std::vector<char> piece_ok(batch.size(), 1);
   if (!batch.empty()) {
@@ -236,44 +217,36 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
         piece_ok[i] = apply.ok ? 1 : 0;
       }
     }
-    // Index only what the ASIC actually accepted — bookkeeping must never
-    // run ahead of the hardware, even in release builds.
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      if (piece_ok[i]) main_index_.insert(batch[i]);
   }
 
-  // Sort spans into fully-landed rules (migrated) and failures. A rule
-  // with any rejected piece cannot move: its already-written sibling
-  // pieces are rolled back out of main and the rule stays in the shadow
-  // table (it will be re-cut against the updated main table below).
-  std::vector<std::size_t> migrated;  // indices into `plan`
+  // Settle each rule: fully landed rules migrate (and are indexed — the
+  // bookkeeping never runs ahead of the hardware). A rule with any
+  // rejected piece cannot move: its already-written siblings are rolled
+  // back out of main and it stays in the shadow table (re-cut below).
+  std::vector<std::size_t> migrated;  // indices into `moving`
   std::vector<net::RuleId> rollback;
-  for (const Span& span : spans) {
-    std::size_t failed = 0;
-    for (std::size_t i = span.begin; i < span.end; ++i)
-      if (!piece_ok[i]) ++failed;
-    if (failed == 0) {
-      migrated.push_back(span.plan_idx);
+  std::uint64_t failures_this_run = 0;
+  for (std::size_t s = 0; s < moving.size(); ++s) {
+    std::size_t failed = ledger.settle(
+        s, [&](std::size_t i) { return piece_ok[i] != 0; }, rollback);
+    failures_this_run += failed;
+    if (failed > 0) {
+      skipped.push_back(moving[s].lid);
       continue;
     }
-    stats_.migration_piece_failures += failed;
-    for (std::size_t i = span.begin; i < span.end; ++i) {
-      if (!piece_ok[i]) continue;
-      main_index_.erase(batch[i].id, batch[i].match);
-      rollback.push_back(batch[i].id);
-      ++stats_.migration_rollbacks;
-    }
-    skipped.push_back(span.plan_idx);
+    for (const net::Rule& piece : ledger.pieces(s)) main_index_.insert(piece);
+    migrated.push_back(s);
   }
+  stats_.migration_piece_failures += failures_this_run;
+  stats_.migration_rollbacks += rollback.size();
   if (!rollback.empty())
     main_done = asic_.submit_batch_delete(now, kMain, rollback);
 
   // Step 4: empty the migrated rules out of the shadow table as one
   // batched invalidation (deletes move nothing) and rebind bookkeeping.
   std::vector<net::RuleId> drained;
-  for (std::size_t i : migrated) {
-    const LogicalRule* lr = store_.find(plan[i].lid);
-    for (net::RuleId pid : lr->physical_ids) {
+  for (std::size_t s : migrated) {
+    for (net::RuleId pid : store_.find(moving[s].lid)->physical_ids) {
       if (const net::Rule* rule = asic_.slice(kShadow).find_ptr(pid)) {
         shadow_index_.erase(pid, rule->match);
         drained.push_back(pid);
@@ -284,37 +257,27 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
       drained.empty() ? now
                       : asic_.submit_batch_delete(now, kShadow, drained);
   std::uint64_t pieces_this_run = 0;
-  std::uint64_t failures_this_run = 0;
-  for (const Span& span : spans) {
-    for (std::size_t i = span.begin; i < span.end; ++i)
-      if (!piece_ok[i]) ++failures_this_run;
-  }
-  for (std::size_t i : migrated) {
-    Planned& item = plan[i];
+  for (std::size_t s : migrated) {
+    Moving& item = moving[s];
+    std::span<const net::Rule> pieces = ledger.pieces(s);
     // Optimizer-savings accounting (Section 5.2 / Fig 7): credited here,
     // after the batch landed, so rules skipped or rolled back never
     // overstate the merge savings.
-    if (const LogicalRule* lr = store_.find(item.lid)) {
-      if (lr->physical_ids.size() > item.pieces.size())
-        stats_.pieces_saved_by_merge +=
-            lr->physical_ids.size() - item.pieces.size();
-    }
-    std::vector<net::RuleId> new_ids;
-    new_ids.reserve(item.pieces.size());
-    for (const net::Rule& piece : item.pieces) new_ids.push_back(piece.id);
-    bool partitioned = item.partitioned || item.pieces.empty();
-    store_.rebind(item.lid, Placement::kMain, std::move(new_ids),
-                  partitioned, std::move(item.blockers));
+    const std::size_t before = store_.find(item.lid)->physical_ids.size();
+    if (before > pieces.size())
+      stats_.pieces_saved_by_merge += before - pieces.size();
+    store_.rebind(item.lid, Placement::kMain, ledger.ids(s),
+                  item.partitioned, std::move(item.blockers));
     ++stats_.rules_migrated;
-    stats_.pieces_migrated += item.pieces.size();
-    pieces_this_run += item.pieces.size();
+    stats_.pieces_migrated += pieces.size();
+    pieces_this_run += pieces.size();
   }
 
   // Rules that did not fit stay in the shadow table; they would now mask
   // the freshly migrated higher-priority pieces, so re-cut them against
   // the updated main table.
-  for (std::size_t i : skipped) {
-    repartition_logical(now, plan[i].lid);
+  for (net::RuleId lid : skipped) {
+    repartition_logical(now, lid);
     ++stats_.repartitions;
   }
 
@@ -372,31 +335,12 @@ Time HermesAgent::reconcile(Time now) {
   main_index_.clear();
   shadow_index_.clear();
 
-  auto batch_insert_with_retry = [&](Time at, int slice,
-                                     const std::vector<net::Rule>& rules,
-                                     Time* completion) -> std::size_t {
-    if (rules.empty()) {
-      *completion = at;
-      return 0;
-    }
-    tcam::Asic::BatchResult result;
-    Time batch_done = asic_.submit_batch_insert(at, slice, rules, &result);
-    std::size_t landed = static_cast<std::size_t>(result.inserted);
-    Duration backoff = config_.insert_retry_backoff;
-    for (int attempt = 1;
-         attempt <= config_.insert_retry_limit && landed < rules.size();
-         ++attempt) {
-      Time t = batch_done + backoff;
-      note_retry(t, slice, attempt);
-      std::vector<net::Rule> rest(
-          rules.begin() + static_cast<std::ptrdiff_t>(landed), rules.end());
-      tcam::Asic::BatchResult r2;
-      batch_done = asic_.submit_batch_insert(t, slice, rest, &r2);
-      landed += static_cast<std::size_t>(r2.inserted);
-      backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
-    }
-    *completion = batch_done;
-    return landed;
+  auto lose = [&](net::RuleId lid) {
+    // Retry exhaustion: the rule is gone from the data plane and the
+    // agent stops pretending otherwise.
+    store_.remove(lid);
+    ++stats_.reconcile_rules_lost;
+    obs_reconcile_lost_.inc();
   };
 
   // 1. Purge physical entries no logical rule claims, then classify each
@@ -450,24 +394,18 @@ Time HermesAgent::reconcile(Time now) {
   main_batch.reserve(damaged_main.size());
   for (net::RuleId lid : damaged_main)
     main_batch.push_back(store_.find(lid)->original);
-  Time main_done = now;
-  std::size_t main_landed =
-      batch_insert_with_retry(now, kMain, main_batch, &main_done);
-  done = std::max(done, main_done);
+  BatchWrite main_write = write_batch(now, kMain, main_batch, false);
+  done = std::max(done, main_write.done);
   for (std::size_t i = 0; i < damaged_main.size(); ++i) {
     net::RuleId lid = damaged_main[i];
-    if (i < main_landed) {
-      main_index_.insert(main_batch[i]);
-      store_.rebind(lid, Placement::kMain, {main_batch[i].id}, false, {});
-      ++rules_reinstalled;
-      ++pieces_reinstalled;
-    } else {
-      // Retry exhaustion: the rule is gone from the data plane and the
-      // agent stops pretending otherwise.
-      store_.remove(lid);
-      ++stats_.reconcile_rules_lost;
-      obs_reconcile_lost_.inc();
+    if (i >= main_write.landed) {
+      lose(lid);
+      continue;
     }
+    main_index_.insert(main_batch[i]);
+    store_.rebind(lid, Placement::kMain, {main_batch[i].id}, false, {});
+    ++rules_reinstalled;
+    ++pieces_reinstalled;
   }
 
   // 3. Re-cut damaged SHADOW rules against the rebuilt main table and
@@ -475,88 +413,57 @@ Time HermesAgent::reconcile(Time now) {
   //    first: anything demoted whole into main along the way then blocks
   //    (rather than being masked by) the lower-priority rules after it.
   std::sort(damaged_shadow.begin(), damaged_shadow.end(), by_priority_desc);
-  struct Span {
+  struct Reinstall {
     net::RuleId lid;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    bool partitioned = false;
+    bool partitioned;
     std::vector<net::RuleId> blockers;
   };
-  std::vector<net::Rule> shadow_batch;
-  std::vector<Span> spans;
+  std::vector<Reinstall> reinstall;
+  SpanLedger ledger;
   int shadow_free = asic_.slice(kShadow).capacity() -
                     asic_.slice(kShadow).occupancy();
   for (net::RuleId lid : damaged_shadow) {
     const net::Rule original = store_.find(lid)->original;
-    PartitionResult partition =
-        partition_new_rule(original, main_index_, config_.merge_partitions);
-    std::vector<net::RuleId> blockers;
-    for (net::RuleId pid : partition.cut_against)
-      if (auto blid = store_.logical_of(pid)) blockers.push_back(*blid);
-    if (partition.redundant) {
+    Cover c = cover(original);
+    if (c.redundant()) {
       // Fully masked by what survived/reinstalled in main: keep it as a
       // software-only record, like a redundant insert.
-      store_.rebind(lid, Placement::kMain, {}, true, std::move(blockers));
+      store_.rebind(lid, Placement::kMain, {}, true, std::move(c.blockers));
       continue;
     }
-    if (static_cast<int>(partition.pieces.size()) > shadow_free) {
+    if (c.size() > shadow_free) {
       // No shadow room post-reset: demote the rule whole into main.
-      RetriedInsert r = submit_insert_with_retry(now, kMain, original);
+      RetriedInsert r = place_whole_in_main(now, lid);
       done = std::max(done, r.completion);
       if (r.last.ok) {
-        store_.rebind(lid, Placement::kMain, {original.id}, false, {});
         ++rules_reinstalled;
         ++pieces_reinstalled;
       } else {
-        store_.remove(lid);
-        ++stats_.reconcile_rules_lost;
-        obs_reconcile_lost_.inc();
+        lose(lid);
       }
       continue;
     }
-    shadow_free -= static_cast<int>(partition.pieces.size());
-    Span span;
-    span.lid = lid;
-    span.begin = shadow_batch.size();
-    span.partitioned = !(partition.pieces.size() == 1 &&
-                         partition.pieces[0] == original.match);
-    std::vector<net::Rule> pieces;
-    if (!span.partitioned) {
-      pieces.push_back(original);
-    } else {
-      pieces = materialize_partitions(original, partition, piece_id_counter_);
-      piece_id_counter_ += pieces.size();
-    }
-    shadow_batch.insert(shadow_batch.end(), pieces.begin(), pieces.end());
-    span.end = shadow_batch.size();
-    span.blockers = std::move(blockers);
-    spans.push_back(std::move(span));
+    shadow_free -= c.size();
+    lay_pieces(original, c, /*keep_id=*/true, ledger.batch);
+    ledger.close_span();
+    reinstall.push_back({lid, c.partitioned, std::move(c.blockers)});
   }
-  Time shadow_done = now;
-  std::size_t shadow_landed =
-      batch_insert_with_retry(now, kShadow, shadow_batch, &shadow_done);
-  done = std::max(done, shadow_done);
+  BatchWrite shadow_write = write_batch(now, kShadow, ledger.batch, false);
+  done = std::max(done, shadow_write.done);
   std::vector<net::RuleId> partial;  // landed pieces of a straddling span
-  for (Span& span : spans) {
-    if (span.end <= shadow_landed) {
-      std::vector<net::RuleId> ids;
-      ids.reserve(span.end - span.begin);
-      for (std::size_t i = span.begin; i < span.end; ++i) {
-        shadow_index_.insert(shadow_batch[i]);
-        ids.push_back(shadow_batch[i].id);
-      }
-      pieces_reinstalled += ids.size();
-      ++rules_reinstalled;
-      store_.rebind(span.lid, Placement::kShadow, std::move(ids),
-                    span.partitioned, std::move(span.blockers));
-    } else {
-      for (std::size_t i = span.begin; i < std::min(span.end, shadow_landed);
-           ++i)
-        partial.push_back(shadow_batch[i].id);
-      store_.remove(span.lid);
-      ++stats_.reconcile_rules_lost;
-      obs_reconcile_lost_.inc();
+  for (std::size_t s = 0; s < reinstall.size(); ++s) {
+    if (ledger.settle(
+            s, [&](std::size_t i) { return i < shadow_write.landed; },
+            partial) > 0) {
+      lose(reinstall[s].lid);
+      continue;
     }
+    std::span<const net::Rule> pieces = ledger.pieces(s);
+    for (const net::Rule& piece : pieces) shadow_index_.insert(piece);
+    pieces_reinstalled += pieces.size();
+    ++rules_reinstalled;
+    store_.rebind(reinstall[s].lid, Placement::kShadow, ledger.ids(s),
+                  reinstall[s].partitioned, std::move(reinstall[s].blockers));
   }
   if (!partial.empty())
     done = std::max(done, asic_.submit_batch_delete(done, kShadow, partial));

@@ -187,6 +187,31 @@ TEST(AgentRecovery, ReconcileAfterResetRestoresBothSlices) {
   EXPECT_EQ(port_at(agent, "12.1.2.3"), 4);
 }
 
+TEST(AgentRecovery, RepartitionExhaustionKeepsRuleCovered) {
+  HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
+  agent.insert(0, make_rule(1, 10, "10.0.0.0/8", 1));
+  ASSERT_EQ(agent.store().find(1)->placement, Placement::kShadow);
+
+  // The shadow slice starts refusing every write. A higher-priority rule
+  // exhausts its retries there and lands in main, which forces a re-cut
+  // of rule 1 whose replacement pieces can never be written either.
+  fault::FaultPlan plan(slice_probs(1.0, 0.0));
+  agent.asic().set_fault_plan(&plan);
+  agent.insert(from_millis(1), make_rule(2, 20, "10.1.0.0/16", 2));
+  ASSERT_EQ(agent.store().find(2)->placement, Placement::kMain);
+
+  // Rule 1 keeps a cover: placed whole in main, under rule 2.
+  const LogicalRule* r = agent.store().find(1);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->placement, Placement::kMain);
+  ASSERT_EQ(r->physical_ids.size(), 1u);
+  EXPECT_TRUE(agent.asic().slice(kMainSlice).contains(r->physical_ids[0]));
+  EXPECT_EQ(agent.shadow_occupancy(), 0);
+  EXPECT_EQ(agent.stats().failed_ops, 0u);
+  EXPECT_EQ(port_at(agent, "10.2.0.1"), 1);
+  EXPECT_EQ(port_at(agent, "10.1.0.1"), 2);
+}
+
 TEST(PlainRecovery, InlineRetriesLandFlakyInserts) {
   fault::FaultPlanConfig fc;
   fc.seed = 0xB0B;

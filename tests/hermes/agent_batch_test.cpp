@@ -4,11 +4,15 @@
 // under one Gate Keeper decision and one shadow ASIC batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <optional>
 #include <random>
 #include <vector>
 
+#include "fault/fault_plan.h"
 #include "hermes/hermes_agent.h"
+#include "hermes/partition.h"
 #include "net/flow_mod_batch.h"
 #include "obs/metrics.h"
 #include "tcam/switch_model.h"
@@ -237,6 +241,126 @@ TEST(AgentBatch, RandomizedMixedBatchesMatchPerOpLookups) {
           seed);
     }
   }
+}
+
+TEST(AgentBatch, FaultedBatchesMatchMonolithicOracle) {
+  // Flaky shadow writes (suffix retries, straddling spans rolled back,
+  // main fallbacks), one scheduled reset (reconciliation), and wide
+  // low-priority rules cut around narrow main residents (multi-piece
+  // spans). After every batch + tick the joint tables must answer like
+  // one monolithic table holding exactly the stored rules.
+  fault::FaultPlanConfig fc;
+  fc.seed = 0xB47C;
+  fc.slice_overrides.push_back({0, fault::SliceFaults{0.3, 0, 0}});
+  fc.resets = {from_millis(301)};
+  fault::FaultPlan plan(fc);
+  HermesConfig config = test_config();
+  config.shadow_capacity = 48;
+  HermesAgent agent(tcam::pica8_p3290(), 2000, config);
+  agent.asic().set_fault_plan(&plan);
+
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::uint32_t> b_octet(0, 7);
+  std::uniform_int_distribution<std::uint32_t> c_octet(0, 15);
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::vector<net::Ipv4Address> probes;
+  for (int i = 0; i < 400; ++i) {
+    probes.emplace_back(0x0A000000u | (b_octet(rng) << 16) |
+                        (c_octet(rng) << 8) | (rng() & 0xFFu));
+  }
+  // Distinct priorities keep the monolithic winner well-defined; narrow
+  // prefixes draw high priorities so wide ones get cut around them.
+  std::vector<int> free_priorities(4000);
+  for (int i = 0; i < 4000; ++i) free_priorities[i] = i + 1;
+  std::shuffle(free_priorities.begin(), free_priorities.end(), rng);
+  auto random_rule = [&](net::RuleId id) {
+    int length = std::array<int, 4>{8, 13, 16, 24}[rng() % 4];
+    std::uint32_t addr = 0x0A000000u | (b_octet(rng) << 16) |
+                         (c_octet(rng) << 8);
+    int priority = free_priorities.back() + 4000 * (length / 8);
+    free_priorities.pop_back();
+    return Rule{id, priority, Prefix(net::Ipv4Address(addr), length),
+                net::forward_to(static_cast<int>(rng() % 64))};
+  };
+
+  auto check = [&](int round) {
+    // Monolithic oracle over the stored rules (descending priority).
+    std::vector<Rule> originals = agent.store().all_originals();
+    for (net::Ipv4Address addr : probes) {
+      const Rule* want = nullptr;
+      for (const Rule& r : originals) {
+        if (r.match.contains(addr)) {
+          want = &r;
+          break;
+        }
+      }
+      std::optional<Rule> got = agent.lookup(addr);
+      ASSERT_EQ(got.has_value(), want != nullptr)
+          << "round " << round << " addr " << addr.to_string();
+      if (want) {
+        ASSERT_EQ(got->action.port, want->action.port)
+            << "round " << round << " addr " << addr.to_string();
+      }
+    }
+    // Every stored rule is fully covered, unless main masks it whole.
+    OverlapIndex main_index;
+    for (const Rule& r : agent.asic().slice(1).rules_view())
+      main_index.insert(r);
+    for (const Rule& r : originals) {
+      const LogicalRule* lr = agent.store().find(r.id);
+      const tcam::TcamTable& slice =
+          agent.asic().slice(lr->placement == Placement::kShadow ? 0 : 1);
+      for (net::RuleId pid : lr->physical_ids)
+        ASSERT_TRUE(slice.contains(pid)) << "round " << round << " rule "
+                                         << r.id << " piece " << pid;
+      if (lr->physical_ids.empty()) {
+        ASSERT_TRUE(partition_new_rule(r, main_index).redundant)
+            << "round " << round << " rule " << r.id << " has no cover";
+      }
+    }
+  };
+
+  std::vector<net::RuleId> live;
+  net::RuleId next_id = 1;
+  Time now = 0;
+  for (int round = 0; round < 120; ++round) {
+    FlowModBatch batch;
+    for (int i = 0; i < 12; ++i) {
+      int k = kind(rng);
+      if (k < 7 || live.empty()) {
+        Rule r = random_rule(next_id++);
+        live.push_back(r.id);
+        batch.insert(r);
+        continue;
+      }
+      std::size_t victim = rng() % live.size();
+      if (k < 9) {
+        batch.erase(live[victim]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else {
+        batch.modify(random_rule(live[victim]));
+      }
+    }
+    agent.handle_batch(now, batch);
+    now += from_millis(5);
+    agent.tick(now);
+    // A reset applied after the tick's poll (by a write retried past
+    // the reset time) is reconciled on the next tick.
+    if (agent.asic().reset_epoch() > static_cast<int>(
+                                         agent.stats().reconcile_runs))
+      agent.tick(now);
+    check(round);
+    if (HasFatalFailure()) return;
+    // Drop what the agent lost (rejected or reconcile-dropped inserts).
+    std::erase_if(live, [&](net::RuleId id) {
+      return !agent.store().contains(id);
+    });
+  }
+  EXPECT_GT(agent.stats().retries, 0u);
+  EXPECT_GT(agent.stats().main_inserts, 0u);
+  EXPECT_GT(agent.stats().partition_pieces, agent.stats().guaranteed_inserts);
+  EXPECT_EQ(agent.stats().reconcile_runs, 1u);
+  EXPECT_EQ(plan.resets_fired(), 1u);
 }
 
 }  // namespace
