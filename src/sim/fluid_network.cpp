@@ -87,19 +87,22 @@ const std::vector<net::LinkId>& FluidNetwork::links_of(FlowId id) const {
 }
 
 double FluidNetwork::link_utilization(net::LinkId link) const {
+  // Ascending flow id: the sum, and so TE's tie decisions, must not
+  // depend on hash-table history.
   double used = 0;
-  for (const auto& [id, flow] : flows_) {
-    if (std::find(flow.links.begin(), flow.links.end(), link) !=
-        flow.links.end())
-      used += flow.rate;
-  }
+  for (FlowId id : flows_on_link(link)) used += flows_.at(id).rate;
   double cap = link_capacity_[static_cast<std::size_t>(link)];
   return cap > 0 ? used / cap : 0;
 }
 
 std::vector<double> FluidNetwork::all_link_utilization() const {
+  std::vector<FlowId> ids;
+  ids.reserve(flows_.size());
+  for (const auto& [id, flow] : flows_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
   std::vector<double> used(link_capacity_.size(), 0.0);
-  for (const auto& [id, flow] : flows_) {
+  for (FlowId id : ids) {
+    const FlowState& flow = flows_.at(id);
     for (net::LinkId l : flow.links)
       used[static_cast<std::size_t>(l)] += flow.rate;
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
 
 #include "net/routing.h"
 
@@ -113,6 +114,49 @@ TEST(FluidNetwork, UtilizationSnapshotMatchesPerLink) {
   for (int l = 0; l < t.link_count(); ++l)
     EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(l)],
                      net.link_utilization(l));
+}
+
+TEST(FluidNetwork, UtilizationIsAscendingIdSumAfterChurn) {
+  // TE compares utilizations for ties, so the sum behind each one must
+  // have one defined order: ascending flow id, whatever the history of
+  // adds, removals and reroutes.
+  net::Topology t = net::fat_tree(4);
+  net::PathDatabase paths(t, 4, net::hop_count());
+  auto hosts = t.hosts();
+  FluidNetwork net(t);
+  std::mt19937_64 rng(7);
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  auto random_links = [&] {
+    net::NodeId a = hosts[pick(hosts.size())];
+    net::NodeId b = hosts[pick(hosts.size())];
+    while (b == a) b = hosts[pick(hosts.size())];
+    const auto& cands = paths.paths(a, b);
+    return net::path_links(t, cands[pick(cands.size())]);
+  };
+  std::vector<FlowId> live;
+  for (int op = 0; op < 400; ++op) {
+    std::uint64_t kind = rng() % 4;
+    if (live.empty() || kind <= 1) {
+      live.push_back(net.add_flow(1e6, random_links(), 0));
+    } else if (kind == 2) {
+      std::size_t i = pick(live.size());
+      net.remove_flow(live[i], 0);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      net.reroute_flow(live[pick(live.size())], random_links(), 0);
+    }
+  }
+  ASSERT_GT(net.active_flow_count(), 20);
+  auto all = net.all_link_utilization();
+  for (net::LinkId l = 0; l < t.link_count(); ++l) {
+    double used = 0;
+    for (FlowId id : net.flows_on_link(l)) used += net.rate_bytes_per_s(id);
+    double expected = used / (t.link(l).capacity_bps / 8.0);
+    EXPECT_EQ(all[static_cast<std::size_t>(l)], expected) << "link " << l;
+    EXPECT_EQ(net.link_utilization(l), expected) << "link " << l;
+  }
 }
 
 TEST(FluidNetwork, RemoveUnknownFlowIsSafe) {
