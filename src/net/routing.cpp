@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <set>
 
 namespace hermes::net {
 
@@ -20,16 +19,27 @@ struct QueueEntry {
   }
 };
 
-// Dijkstra from `src`, honoring `banned_nodes` / `banned_links` (for Yen).
-// Returns per-node distance and predecessor link.
+// Every link's weight, evaluated once per call.
+std::vector<double> link_weights(const Topology& topo,
+                                 const LinkWeight& weight) {
+  std::vector<double> w;
+  w.reserve(static_cast<std::size_t>(topo.link_count()));
+  for (const Link& l : topo.links()) w.push_back(weight(l));
+  return w;
+}
+
+// Dijkstra from `src` over non-negative per-link weights `w`, honoring
+// `banned_nodes` and `banned_links` (for Yen). Returns per-node distance
+// and predecessor link.
 struct SsspResult {
   std::vector<double> dist;
   std::vector<LinkId> pred_link;
 };
 
-SsspResult dijkstra(const Topology& topo, NodeId src, const LinkWeight& weight,
+SsspResult dijkstra(const Topology& topo, NodeId src,
+                    const std::vector<double>& w,
                     const std::vector<char>* banned_nodes = nullptr,
-                    const std::set<LinkId>* banned_links = nullptr) {
+                    const std::vector<char>* banned_links = nullptr) {
   auto n = static_cast<std::size_t>(topo.node_count());
   SsspResult r{std::vector<double>(n, kInf),
                std::vector<LinkId>(n, kInvalidLink)};
@@ -43,16 +53,18 @@ SsspResult dijkstra(const Topology& topo, NodeId src, const LinkWeight& weight,
     pq.pop();
     if (d > r.dist[static_cast<std::size_t>(u)]) continue;
     for (LinkId lid : topo.links_of(u)) {
-      if (banned_links && banned_links->count(lid)) continue;
-      const Link& l = topo.link(lid);
-      NodeId v = l.other(u);
-      if (banned_nodes && (*banned_nodes)[static_cast<std::size_t>(v)])
-        continue;
-      double nd = d + weight(l);
-      if (nd < r.dist[static_cast<std::size_t>(v)]) {
-        r.dist[static_cast<std::size_t>(v)] = nd;
-        r.pred_link[static_cast<std::size_t>(v)] = lid;
-        pq.push({nd, v});
+      auto li = static_cast<std::size_t>(lid);
+      if (banned_links && (*banned_links)[li]) continue;
+      NodeId v = topo.link(lid).other(u);
+      auto vi = static_cast<std::size_t>(v);
+      if (banned_nodes && (*banned_nodes)[vi]) continue;
+      double nd = d + w[li];
+      if (nd < r.dist[vi]) {
+        r.dist[vi] = nd;
+        r.pred_link[vi] = lid;
+        // A leaf (a host) is settled here: popping it would only relax
+        // the link just used, which improves nothing.
+        if (topo.links_of(v).size() > 1) pq.push({nd, v});
       }
     }
   }
@@ -87,7 +99,7 @@ LinkWeight propagation_delay() {
 std::optional<Path> shortest_path(const Topology& topo, NodeId src,
                                   NodeId dst, const LinkWeight& weight) {
   if (src == dst) return Path{src};
-  auto r = dijkstra(topo, src, weight);
+  auto r = dijkstra(topo, src, link_weights(topo, weight));
   return extract_path(topo, r, src, dst);
 }
 
@@ -111,11 +123,12 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
     out.push_back(Path{src});
     return out;
   }
-  // dist_from_src + link + dist_to_dst == total  <=>  the link lies on a
-  // shortest path. Enumerate such paths by DFS from src.
-  auto from_src = dijkstra(topo, src, weight);
-  auto to_dst = dijkstra(topo, dst, weight);
-  double total = from_src.dist[static_cast<std::size_t>(dst)];
+  // prefix + link + dist_to_dst == total  <=>  the link extends a
+  // shortest path. Enumerate such paths by DFS from src; each frame
+  // carries the weight of the path down to its node.
+  std::vector<double> w = link_weights(topo, weight);
+  auto to_dst = dijkstra(topo, dst, w);
+  double total = to_dst.dist[static_cast<std::size_t>(src)];
   if (total == kInf) return out;
 
   constexpr double kEps = 1e-12;
@@ -124,8 +137,9 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
   struct Frame {
     NodeId node;
     std::size_t next_idx;
+    double prefix;
   };
-  std::vector<Frame> stack{{src, 0}};
+  std::vector<Frame> stack{{src, 0, 0.0}};
   while (!stack.empty() && static_cast<int>(out.size()) < max_paths) {
     Frame& f = stack.back();
     NodeId u = f.node;
@@ -133,12 +147,11 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
     bool descended = false;
     while (f.next_idx < adj.size()) {
       LinkId lid = adj[f.next_idx++];
-      const Link& l = topo.link(lid);
-      NodeId v = l.other(u);
-      double du = from_src.dist[static_cast<std::size_t>(u)];
+      NodeId v = topo.link(lid).other(u);
       double dv = to_dst.dist[static_cast<std::size_t>(v)];
       if (dv == kInf) continue;
-      if (std::abs(du + weight(l) + dv - total) > kEps) continue;
+      double reached = f.prefix + w[static_cast<std::size_t>(lid)];
+      if (std::abs(reached + dv - total) > kEps) continue;
       current.push_back(v);
       if (v == dst) {
         out.push_back(current);
@@ -146,11 +159,11 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
         if (static_cast<int>(out.size()) >= max_paths) break;
         continue;
       }
-      stack.push_back({v, 0});
+      stack.push_back({v, 0, reached});  // invalidates `f`
       descended = true;
       break;
     }
-    if (!descended && !stack.empty() && f.next_idx >= adj.size()) {
+    if (!descended && f.next_idx >= adj.size()) {
       stack.pop_back();
       current.pop_back();
     }
@@ -164,18 +177,23 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
                                    int k) {
   std::vector<Path> result;
   if (k <= 0) return result;
-  auto first = shortest_path(topo, src, dst, weight);
+  std::vector<double> w = link_weights(topo, weight);
+  auto first = extract_path(topo, dijkstra(topo, src, w), src, dst);
   if (!first) return result;
   result.push_back(*first);
 
-  // Candidate paths, ordered by cost then lexicographically (determinism).
-  auto cmp = [&](const Path& a, const Path& b) {
-    double ca = path_cost(topo, a, weight);
-    double cb = path_cost(topo, b, weight);
-    if (ca != cb) return ca < cb;
-    return a < b;
+  // Same sum, in the same order, as path_cost().
+  auto cost = [&](const Path& p) {
+    double total = 0;
+    for (std::size_t i = 0; i + 1 < p.size(); ++i)
+      total += w[static_cast<std::size_t>(topo.find_link(p[i], p[i + 1]))];
+    return total;
   };
-  std::vector<Path> candidates;
+  // Candidate paths with their costs, taken by cost then
+  // lexicographically (determinism).
+  std::vector<std::pair<double, Path>> candidates;
+  std::vector<char> banned_links(static_cast<std::size_t>(topo.link_count()));
+  std::vector<char> banned_nodes(static_cast<std::size_t>(topo.node_count()));
 
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
@@ -183,36 +201,35 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
       NodeId spur_node = prev[i];
       Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
 
-      std::set<LinkId> banned_links;
+      std::fill(banned_links.begin(), banned_links.end(), 0);
       for (const Path& p : result) {
-        if (p.size() > i &&
+        if (p.size() > i + 1 &&
             std::equal(root.begin(), root.end(), p.begin())) {
-          if (p.size() > i + 1) {
-            LinkId l = topo.find_link(p[i], p[i + 1]);
-            if (l != kInvalidLink) banned_links.insert(l);
-          }
+          LinkId l = topo.find_link(p[i], p[i + 1]);
+          if (l != kInvalidLink) banned_links[static_cast<std::size_t>(l)] = 1;
         }
       }
-      std::vector<char> banned_nodes(
-          static_cast<std::size_t>(topo.node_count()), 0);
+      std::fill(banned_nodes.begin(), banned_nodes.end(), 0);
       for (std::size_t j = 0; j < i; ++j)
         banned_nodes[static_cast<std::size_t>(root[j])] = 1;
 
-      auto sssp = dijkstra(topo, spur_node, weight, &banned_nodes,
-                           &banned_links);
+      auto sssp = dijkstra(topo, spur_node, w, &banned_nodes, &banned_links);
       auto spur = extract_path(topo, sssp, spur_node, dst);
       if (!spur) continue;
       Path total = root;
       total.insert(total.end(), spur->begin() + 1, spur->end());
-      if (std::find(candidates.begin(), candidates.end(), total) ==
-              candidates.end() &&
-          std::find(result.begin(), result.end(), total) == result.end()) {
-        candidates.push_back(std::move(total));
+      bool seen =
+          std::find(result.begin(), result.end(), total) != result.end() ||
+          std::any_of(candidates.begin(), candidates.end(),
+                      [&](const auto& c) { return c.second == total; });
+      if (!seen) {
+        double c = cost(total);
+        candidates.emplace_back(c, std::move(total));
       }
     }
     if (candidates.empty()) break;
-    auto best = std::min_element(candidates.begin(), candidates.end(), cmp);
-    result.push_back(*best);
+    auto best = std::min_element(candidates.begin(), candidates.end());
+    result.push_back(std::move(best->second));
     candidates.erase(best);
   }
   return result;

@@ -17,7 +17,8 @@
 namespace hermes::net {
 
 /// Per-link weight function. hop_count() and propagation_delay() are the
-/// two standard choices.
+/// two standard choices. Each routine below evaluates it once per link
+/// per call and searches over the resulting weight vector.
 using LinkWeight = std::function<double(const Link&)>;
 
 LinkWeight hop_count();
@@ -32,7 +33,9 @@ double path_cost(const Topology& topo, const Path& path,
                  const LinkWeight& weight);
 
 /// All equal-cost shortest paths src -> dst, up to `max_paths`
-/// (deterministic order: lexicographic by node id).
+/// (deterministic order: lexicographic by node id). One shortest-path
+/// search toward `dst`, then a DFS from `src` that keeps only links on a
+/// shortest path.
 std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
                              const LinkWeight& weight, int max_paths = 16);
 

@@ -7,11 +7,33 @@
 
 namespace hermes::sim {
 
-FluidNetwork::FluidNetwork(const net::Topology& topology)
-    : topology_(&topology) {
-  link_capacity_.reserve(static_cast<std::size_t>(topology.link_count()));
+FluidNetwork::FluidNetwork(const net::Topology& topology) {
+  auto links = static_cast<std::size_t>(topology.link_count());
+  link_capacity_.reserve(links);
   for (const net::Link& l : topology.links())
     link_capacity_.push_back(l.capacity_bps / 8.0);
+  link_flows_.resize(links);
+  residual_.resize(links);
+  count_.resize(links, 0);
+}
+
+bool FluidNetwork::is_active(FlowId id) const {
+  return id >= 0 && static_cast<std::size_t>(id) < flows_.size() &&
+         flows_[static_cast<std::size_t>(id)].active;
+}
+
+void FluidNetwork::attach(FlowId id) {
+  for (net::LinkId l : flows_[static_cast<std::size_t>(id)].links) {
+    auto& on_link = link_flows_[static_cast<std::size_t>(l)];
+    on_link.insert(std::lower_bound(on_link.begin(), on_link.end(), id), id);
+  }
+}
+
+void FluidNetwork::detach(FlowId id) {
+  for (net::LinkId l : flows_[static_cast<std::size_t>(id)].links) {
+    auto& on_link = link_flows_[static_cast<std::size_t>(l)];
+    on_link.erase(std::lower_bound(on_link.begin(), on_link.end(), id));
+  }
 }
 
 FlowId FluidNetwork::add_flow(double bytes,
@@ -19,15 +41,25 @@ FlowId FluidNetwork::add_flow(double bytes,
                               Time now) {
   assert(now == last_advance_ && "advance_to(now) before mutating");
   assert(bytes > 0 && !links.empty());
-  FlowId id = next_id_++;
-  flows_.emplace(id, FlowState{bytes, 0, links});
+  (void)now;
+  auto id = static_cast<FlowId>(flows_.size());
+  flows_.push_back(FlowState{bytes, 0, true, links});
+  frozen_.push_back(0);
+  active_.push_back(id);  // ids only grow: the list stays ascending
+  attach(id);
   recompute_rates();
   return id;
 }
 
 void FluidNetwork::remove_flow(FlowId id, Time now) {
   assert(now == last_advance_ && "advance_to(now) before mutating");
-  flows_.erase(id);
+  (void)now;
+  if (!is_active(id)) return;
+  detach(id);
+  FlowState& flow = flows_[static_cast<std::size_t>(id)];
+  flow.active = false;
+  std::vector<net::LinkId>().swap(flow.links);
+  active_.erase(std::lower_bound(active_.begin(), active_.end(), id));
   recompute_rates();
 }
 
@@ -35,9 +67,11 @@ void FluidNetwork::reroute_flow(FlowId id,
                                 const std::vector<net::LinkId>& links,
                                 Time now) {
   assert(now == last_advance_ && "advance_to(now) before mutating");
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // completed before the move finished
-  it->second.links = links;
+  (void)now;
+  if (!is_active(id)) return;  // completed before the move finished
+  detach(id);
+  flows_[static_cast<std::size_t>(id)].links = links;
+  attach(id);
   recompute_rates();
 }
 
@@ -45,7 +79,8 @@ void FluidNetwork::advance_to(Time now) {
   assert(now >= last_advance_);
   double dt = to_seconds(now - last_advance_);
   if (dt > 0) {
-    for (auto& [id, flow] : flows_) {
+    for (FlowId id : active_) {
+      FlowState& flow = flows_[static_cast<std::size_t>(id)];
       flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
     }
   }
@@ -55,120 +90,110 @@ void FluidNetwork::advance_to(Time now) {
 std::optional<FluidNetwork::NextCompletion>
 FluidNetwork::next_completion() const {
   std::optional<NextCompletion> best;
-  for (const auto& [id, flow] : flows_) {
+  for (FlowId id : active_) {
+    const FlowState& flow = flows_[static_cast<std::size_t>(id)];
     if (flow.rate <= 0) continue;
     double seconds = flow.remaining / flow.rate;
     Time when = last_advance_ + from_seconds(seconds);
     // Guard against zero-duration rounding: completions are strictly in
     // the future unless the flow is already drained.
     if (flow.remaining <= 0) when = last_advance_;
-    if (!best || when < best->time ||
-        (when == best->time && id < best->flow)) {
-      best = NextCompletion{id, when};
-    }
+    // Ascending ids: on a tie the lowest id is already in `best`.
+    if (!best || when < best->time) best = NextCompletion{id, when};
   }
   return best;
 }
 
 double FluidNetwork::remaining_bytes(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0 : it->second.remaining;
+  return is_active(id) ? flows_[static_cast<std::size_t>(id)].remaining : 0;
 }
 
 double FluidNetwork::rate_bytes_per_s(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0 : it->second.rate;
+  return is_active(id) ? flows_[static_cast<std::size_t>(id)].rate : 0;
 }
 
 const std::vector<net::LinkId>& FluidNetwork::links_of(FlowId id) const {
   static const std::vector<net::LinkId> empty;
-  auto it = flows_.find(id);
-  return it == flows_.end() ? empty : it->second.links;
+  return is_active(id) ? flows_[static_cast<std::size_t>(id)].links : empty;
 }
 
 double FluidNetwork::link_utilization(net::LinkId link) const {
-  // Ascending flow id: the sum, and so TE's tie decisions, must not
-  // depend on hash-table history.
   double used = 0;
-  for (FlowId id : flows_on_link(link)) used += flows_.at(id).rate;
+  for (FlowId id : link_flows_[static_cast<std::size_t>(link)])
+    used += flows_[static_cast<std::size_t>(id)].rate;
   double cap = link_capacity_[static_cast<std::size_t>(link)];
   return cap > 0 ? used / cap : 0;
 }
 
 std::vector<double> FluidNetwork::all_link_utilization() const {
-  std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [id, flow] : flows_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
   std::vector<double> used(link_capacity_.size(), 0.0);
-  for (FlowId id : ids) {
-    const FlowState& flow = flows_.at(id);
-    for (net::LinkId l : flow.links)
-      used[static_cast<std::size_t>(l)] += flow.rate;
-  }
-  for (std::size_t i = 0; i < used.size(); ++i) {
-    if (link_capacity_[i] > 0) used[i] /= link_capacity_[i];
+  for (std::size_t l = 0; l < used.size(); ++l) {
+    for (FlowId id : link_flows_[l])
+      used[l] += flows_[static_cast<std::size_t>(id)].rate;
+    if (link_capacity_[l] > 0) used[l] /= link_capacity_[l];
   }
   return used;
 }
 
 std::vector<FlowId> FluidNetwork::flows_on_link(net::LinkId link) const {
-  std::vector<FlowId> out;
-  for (const auto& [id, flow] : flows_) {
-    if (std::find(flow.links.begin(), flow.links.end(), link) !=
-        flow.links.end())
-      out.push_back(id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return link_flows_[static_cast<std::size_t>(link)];
 }
 
 void FluidNetwork::recompute_rates() {
   // Progressive filling. Only links carrying unfrozen flows participate.
-  std::unordered_map<net::LinkId, double> residual;
-  std::unordered_map<net::LinkId, int> active_count;
-  for (auto& [id, flow] : flows_) {
+  // Every flow frozen in one step subtracts the same share, so residuals,
+  // shares and rates do not depend on the order flows are visited in.
+  busy_links_.clear();
+  for (FlowId id : active_) {
+    FlowState& flow = flows_[static_cast<std::size_t>(id)];
     flow.rate = 0;
+    frozen_[static_cast<std::size_t>(id)] = 0;
     for (net::LinkId l : flow.links) {
-      auto [it, inserted] =
-          residual.emplace(l, link_capacity_[static_cast<std::size_t>(l)]);
-      (void)it;
-      ++active_count[l];
+      auto li = static_cast<std::size_t>(l);
+      if (count_[li] != 0) continue;
+      count_[li] = static_cast<int>(link_flows_[li].size());
+      residual_[li] = link_capacity_[li];
+      busy_links_.push_back(l);
     }
   }
 
-  std::unordered_map<FlowId, char> frozen;
-  std::size_t remaining_flows = flows_.size();
+  std::size_t remaining_flows = active_.size();
   while (remaining_flows > 0) {
-    // Bottleneck link: minimal fair share among links with active flows.
+    // Bottleneck link: minimal fair share among links with unfrozen
+    // flows, ties to the lowest link id. Drained links leave the list.
     net::LinkId bottleneck = net::kInvalidLink;
     double best_share = std::numeric_limits<double>::infinity();
-    for (const auto& [l, count] : active_count) {
-      if (count <= 0) continue;
-      double share = residual.at(l) / count;
-      if (share < best_share ||
-          (share == best_share && l < bottleneck)) {
+    std::size_t kept = 0;
+    for (net::LinkId l : busy_links_) {
+      auto li = static_cast<std::size_t>(l);
+      if (count_[li] <= 0) continue;
+      busy_links_[kept++] = l;
+      double share = residual_[li] / count_[li];
+      if (share < best_share || (share == best_share && l < bottleneck)) {
         best_share = share;
         bottleneck = l;
       }
     }
+    busy_links_.resize(kept);
     if (bottleneck == net::kInvalidLink) break;  // defensive
 
     // Freeze every unfrozen flow crossing the bottleneck at the share.
-    for (auto& [id, flow] : flows_) {
-      if (frozen.count(id)) continue;
-      if (std::find(flow.links.begin(), flow.links.end(), bottleneck) ==
-          flow.links.end())
-        continue;
+    for (FlowId id : link_flows_[static_cast<std::size_t>(bottleneck)]) {
+      auto fi = static_cast<std::size_t>(id);
+      if (frozen_[fi]) continue;
+      FlowState& flow = flows_[fi];
       flow.rate = best_share;
-      frozen.emplace(id, 1);
+      frozen_[fi] = 1;
       --remaining_flows;
       for (net::LinkId l : flow.links) {
-        residual[l] -= best_share;
-        --active_count[l];
+        residual_[static_cast<std::size_t>(l)] -= best_share;
+        --count_[static_cast<std::size_t>(l)];
       }
     }
   }
+  // Leave count_ all zero for the next solve (non-zero only after the
+  // defensive break).
+  for (net::LinkId l : busy_links_) count_[static_cast<std::size_t>(l)] = 0;
 }
 
 }  // namespace hermes::sim

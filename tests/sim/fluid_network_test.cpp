@@ -167,6 +167,34 @@ TEST(FluidNetwork, RemoveUnknownFlowIsSafe) {
   EXPECT_FALSE(net.next_completion().has_value());
 }
 
+TEST(FluidNetwork, RemovingUnknownOrFinishedFlowLeavesRatesUntouched) {
+  net::Topology t = net::fat_tree(4);
+  auto hosts = t.hosts();
+  FluidNetwork net(t);
+  std::vector<FlowId> ids;
+  for (std::size_t i = 0; i + 1 < hosts.size(); i += 2) {
+    auto path = net::shortest_path(t, hosts[i], hosts[hosts.size() - 1 - i],
+                                   net::hop_count());
+    ASSERT_TRUE(path);
+    ids.push_back(net.add_flow(1e9, net::path_links(t, *path), 0));
+  }
+  net.remove_flow(ids.back(), 0);
+  ids.pop_back();
+  std::vector<double> before;
+  for (FlowId id : ids) before.push_back(net.rate_bytes_per_s(id));
+  auto util_before = net.all_link_utilization();
+
+  net.remove_flow(static_cast<FlowId>(ids.size()), 0);  // finished
+  net.remove_flow(1000, 0);                             // never issued
+  net.remove_flow(kInvalidFlow, 0);
+  EXPECT_EQ(net.active_flow_count(), static_cast<int>(ids.size()));
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    EXPECT_EQ(net.rate_bytes_per_s(ids[i]), before[i]) << "flow " << i;
+  EXPECT_EQ(net.all_link_utilization(), util_before);
+  EXPECT_EQ(net.rate_bytes_per_s(static_cast<FlowId>(ids.size())), 0);
+  EXPECT_TRUE(net.links_of(static_cast<FlowId>(ids.size())).empty());
+}
+
 TEST(FluidNetwork, WorkConservationOnSharedLink) {
   net::Topology topo = dumbbell();
   FluidNetwork net(topo);
