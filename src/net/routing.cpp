@@ -182,13 +182,6 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
   if (!first) return result;
   result.push_back(*first);
 
-  // Same sum, in the same order, as path_cost().
-  auto cost = [&](const Path& p) {
-    double total = 0;
-    for (std::size_t i = 0; i + 1 < p.size(); ++i)
-      total += w[static_cast<std::size_t>(topo.find_link(p[i], p[i + 1]))];
-    return total;
-  };
   // Candidate paths with their costs, taken by cost then
   // lexicographically (determinism).
   std::vector<std::pair<double, Path>> candidates;
@@ -199,7 +192,8 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
     const Path& prev = result.back();
     for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
       NodeId spur_node = prev[i];
-      Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
+      Path root(prev.begin(),
+                prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
 
       std::fill(banned_links.begin(), banned_links.end(), 0);
       for (const Path& p : result) {
@@ -223,8 +217,8 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
           std::any_of(candidates.begin(), candidates.end(),
                       [&](const auto& c) { return c.second == total; });
       if (!seen) {
-        double c = cost(total);
-        candidates.emplace_back(c, std::move(total));
+        double cost = path_cost(topo, total, weight);
+        candidates.emplace_back(cost, std::move(total));
       }
     }
     if (candidates.empty()) break;
@@ -242,8 +236,9 @@ PathDatabase::PathDatabase(const Topology& topo, int paths_per_pair,
       weight_(std::move(weight)) {}
 
 const std::vector<Path>& PathDatabase::paths(NodeId src, NodeId dst) {
-  std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-                      static_cast<std::uint32_t>(dst);
+  std::uint64_t key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+      static_cast<std::uint32_t>(dst);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
   std::vector<Path> paths = ecmp_paths(topo_, src, dst, weight_,

@@ -226,7 +226,8 @@ std::vector<Path> ref_yen(const Topology& t, NodeId src, NodeId dst,
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
     for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
-      Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
+      Path root(prev.begin(),
+                prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
       std::set<LinkId> banned_links;
       for (const Path& p : result) {
         if (p.size() > i + 1 && std::equal(root.begin(), root.end(), p.begin()))

@@ -230,10 +230,9 @@ void run_stream(const net::Topology& topo,
       live.push_back(id);
       issued = id + 1;
     } else if (kind < 6) {
-      // Remove a live flow; sometimes an unknown or finished id.
-      FlowId id = rng() % 8 == 0 ? static_cast<FlowId>(pick(
-                                       static_cast<std::size_t>(issued) + 3))
-                                 : live[pick(live.size())];
+      FlowId id = live[pick(live.size())];
+      if (rng() % 8 == 0)  // sometimes an unknown or finished id
+        id = static_cast<FlowId>(pick(static_cast<std::size_t>(issued) + 3));
       net.remove_flow(id, now);
       ref.remove(id);
       live.erase(std::remove(live.begin(), live.end(), id), live.end());
