@@ -104,15 +104,20 @@ Time CacheHierarchy::flush(Time now) {
 
 Time CacheHierarchy::write_back_flush(Time now) {
   if (entries_.empty()) return now;
+  // Flush order: priority descending, then arrival. The TCAM keeps
+  // equal-priority entries in batch order, so this is the software
+  // engine's tie-break and the flush leaves every lookup's answer as is.
+  std::vector<const Entry*> order;
+  order.reserve(entries_.size());
+  for (const auto& [id, entry] : entries_) order.push_back(&entry);
+  std::sort(order.begin(), order.end(), [](const Entry* a, const Entry* b) {
+    if (a->rule.priority != b->rule.priority)
+      return a->rule.priority > b->rule.priority;
+    return a->seq < b->seq;
+  });
   std::vector<net::Rule> batch;
-  batch.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) batch.push_back(entry.rule);
-  // Deterministic flush order: by priority descending then id.
-  std::sort(batch.begin(), batch.end(),
-            [](const net::Rule& a, const net::Rule& b) {
-              if (a.priority != b.priority) return a.priority > b.priority;
-              return a.id < b.id;
-            });
+  batch.reserve(order.size());
+  for (const Entry* entry : order) batch.push_back(entry->rule);
   tcam::Asic::BatchResult result;
   Time done = asic_.submit_batch_insert(now, 0, batch, &result);
   // Whatever fit leaves software; the rest stays for the next flush.

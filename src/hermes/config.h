@@ -103,18 +103,6 @@ struct HermesConfig {
   /// rule outright; false (default) = fall through to the main table,
   /// trading the latency guarantee for eventual installation.
   bool reject_on_retry_exhaustion = false;
-
-  // --- Software spill tier (the rule-cache hierarchy's caching mode) -------
-
-  /// When the main table is full (or a main write's retries ran dry),
-  /// park the rule in an agent-software spill tier instead of rejecting
-  /// it: the data plane matches spilled rules on the slow path
-  /// (hardware wins priority ties, the ShadowSwitch seam semantic) and
-  /// tick() drains them back into the main table as capacity frees.
-  bool software_spill = false;
-
-  /// Control-plane cost of accepting a rule into the spill tier.
-  Duration spill_insert = from_micros(30);
 };
 
 }  // namespace hermes::core

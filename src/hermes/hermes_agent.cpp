@@ -466,12 +466,6 @@ Time HermesAgent::insert_to_main(Time now, const net::Rule& rule,
   RetriedInsert r = submit_insert_with_retry(now, kMain, rule);
   Time completion = r.completion;
   if (!r.last.ok) {
-    if (config_.software_spill) {
-      // Caching mode: the main table is the TCAM tier of a rule-cache
-      // hierarchy — overflow parks in the software tier instead of
-      // rejecting, and tick() drains it back as capacity frees.
-      return spill_rule(completion, rule, arrival >= 0 ? arrival : now);
-    }
     ++stats_.failed_ops;
     return completion;
   }
@@ -508,9 +502,6 @@ Time HermesAgent::erase(Time now, net::RuleId logical_id) {
       net::FlowMod del{net::FlowModType::kDelete, net::Rule{pid, 0, {}, {}}};
       completion = asic_.submit(now, kMain, del);
     }
-  } else if (lr->placement == Placement::kSoftware) {
-    spill_forget(logical_id);
-    completion = now + config_.spill_insert;
   } else {
     for (net::RuleId pid : lr->physical_ids)
       completion = std::max(completion, drop_piece(now, kShadow, pid));
@@ -530,15 +521,6 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
       rule.match == lr->original.match) {
     // Action-only change: constant-time in-place rewrite of every piece
     // (Section 2.1.1 / 4.1).
-    if (lr->placement == Placement::kSoftware) {
-      auto it = spill_rules_.find(rule.id);
-      if (it != spill_rules_.end()) {
-        spill_engine_.modify_action(it->second.rule, rule.action);
-        it->second.rule.action = rule.action;
-      }
-      lr->original.action = rule.action;
-      return now + config_.spill_insert;
-    }
     Time completion = now;
     int slice_idx = lr->placement == Placement::kShadow ? kShadow : kMain;
     OverlapIndex& index = index_of(slice_idx);
@@ -559,101 +541,6 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
   Time deleted = erase(now, rule.id);
   Time inserted = insert(now, rule);
   return std::max(deleted, inserted);
-}
-
-std::optional<net::Rule> HermesAgent::lookup(net::Ipv4Address addr) {
-  if (const net::Rule* r = merge_spill_lookup(asic_.lookup_ptr(addr), addr))
-    return *r;
-  return std::nullopt;
-}
-
-const net::Rule* HermesAgent::lookup_ptr(net::Ipv4Address addr) {
-  return merge_spill_lookup(asic_.lookup_ptr(addr), addr);
-}
-
-std::optional<net::Rule> HermesAgent::lookup(Time now, net::Ipv4Address addr) {
-  if (const net::Rule* r =
-          merge_spill_lookup(asic_.lookup_ptr(now, addr), addr))
-    return *r;
-  return std::nullopt;
-}
-
-const net::Rule* HermesAgent::lookup_ptr(Time now, net::Ipv4Address addr) {
-  return merge_spill_lookup(asic_.lookup_ptr(now, addr), addr);
-}
-
-// --- Software spill tier ------------------------------------------------------
-
-const net::Rule* HermesAgent::merge_spill_lookup(const net::Rule* hw,
-                                                 net::Ipv4Address addr) {
-  if (spill_rules_.empty()) return hw;  // fast path: tier unused
-  const net::Rule* sw = spill_engine_.lookup(addr);
-  if (!sw) return hw;
-  if (!hw) return sw;
-  // Hardware wins priority ties: a drained copy must not change the
-  // data-plane answer the moment it lands in the TCAM.
-  return hw->priority >= sw->priority ? hw : sw;
-}
-
-Time HermesAgent::spill_rule(Time now, const net::Rule& rule, Time arrival) {
-  store_.add(LogicalRule{rule, Placement::kSoftware, {rule.id}, false, {}});
-  SpillEntry entry{rule, spill_seq_++};
-  spill_engine_.insert(rule, entry.seq);
-  spill_rules_.emplace(rule.id, std::move(entry));
-  ++stats_.spills;
-  obs_spills_.inc();
-  obs_spill_resident_.set(static_cast<std::int64_t>(spill_rules_.size()));
-  obs::trace_event(obs::cache_op_event(
-      now, obs::kCacheSpill, 1, static_cast<int>(spill_rules_.size())));
-  Time completion = now + config_.spill_insert;
-  record_rit(completion - arrival, 0);
-  return completion;
-}
-
-void HermesAgent::spill_forget(net::RuleId id) {
-  auto it = spill_rules_.find(id);
-  if (it == spill_rules_.end()) return;
-  spill_engine_.erase(it->second.rule);
-  spill_rules_.erase(it);
-  obs_spill_resident_.set(static_cast<std::int64_t>(spill_rules_.size()));
-}
-
-void HermesAgent::drain_spill(Time now) {
-  if (spill_rules_.empty()) return;
-  const tcam::TcamTable& main = asic_.slice(kMain);
-  int free = main.capacity() - main.occupancy();
-  if (free <= 0) return;
-  // Highest priority first (ties by spill arrival) so the drain order is
-  // deterministic and the most important rules reach the TCAM first.
-  std::vector<const SpillEntry*> order;
-  order.reserve(spill_rules_.size());
-  for (const auto& [id, entry] : spill_rules_) order.push_back(&entry);
-  std::sort(order.begin(), order.end(),
-            [](const SpillEntry* a, const SpillEntry* b) {
-              if (a->rule.priority != b->rule.priority)
-                return a->rule.priority > b->rule.priority;
-              return a->seq < b->seq;
-            });
-  if (static_cast<int>(order.size()) > free) order.resize(free);
-  int drained = 0;
-  for (const SpillEntry* entry : order) {
-    const net::Rule rule = entry->rule;
-    // Table refilled (or faults): try next tick.
-    if (!place_whole_in_main(now, rule.id).last.ok) break;
-    spill_forget(rule.id);
-    ++stats_.main_inserts;
-    ++stats_.spill_drains;
-    obs_spill_drains_.inc();
-    ++drained;
-    // The drained rule can mask lower-priority shadow residents exactly
-    // like any other main insert.
-    repartition_shadow_overlaps(now, rule);
-  }
-  if (drained > 0) {
-    obs::trace_event(obs::cache_op_event(
-        now, obs::kCacheSpillDrain, drained,
-        static_cast<int>(spill_rules_.size())));
-  }
 }
 
 // --- Correctness maintenance --------------------------------------------------
@@ -680,9 +567,7 @@ void HermesAgent::repartition_shadow_overlaps(Time now,
 
 void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
   LogicalRule* lr = store_.find_mutable(logical_id);
-  // Spilled rules have no TCAM pieces to re-cut; the software tier
-  // matches their full original form.
-  if (!lr || lr->placement == Placement::kSoftware) return;
+  if (!lr) return;
   const Placement placement = lr->placement;
   const int slice = placement == Placement::kShadow ? kShadow : kMain;
   const net::Rule original = lr->original;

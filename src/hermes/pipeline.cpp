@@ -32,7 +32,8 @@ MultiTablePipeline::PipelineResult MultiTablePipeline::process(
   PipelineResult result;
   for (int idx = 0; idx < table_count(); ++idx) {
     result.table = idx;
-    const net::Rule* hit = agents_[static_cast<std::size_t>(idx)]->lookup_ptr(addr);
+    const net::Rule* hit =
+        agents_[static_cast<std::size_t>(idx)]->lookup_ptr(addr);
     if (hit) {
       result.rule = hit->id;
       switch (hit->action.type) {
@@ -52,7 +53,7 @@ MultiTablePipeline::PipelineResult MultiTablePipeline::process(
     }
     // Table miss: the ORIGINAL table's miss behavior applies (the shadow
     // slice's fall-through to its main slice already happened inside
-    // HermesAgent::lookup).
+    // HermesAgent::lookup_ptr).
     switch (configs_[static_cast<std::size_t>(idx)].miss) {
       case MissBehavior::kGotoNextTable:
         continue;

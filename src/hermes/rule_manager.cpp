@@ -9,7 +9,6 @@ namespace hermes::core {
 
 void HermesAgent::tick(Time now) {
   maybe_reconcile(now);
-  if (config_.software_spill) drain_spill(now);
   if (migration_retry_at_ >= 0 && now >= migration_retry_at_) {
     // A partially-failed migration re-queued itself: run it again now,
     // before the regular epoch machinery.

@@ -125,7 +125,9 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
   }
   // prefix + link + dist_to_dst == total  <=>  the link extends a
   // shortest path. Enumerate such paths by DFS from src; each frame
-  // carries the weight of the path down to its node.
+  // carries the weight of the path down to its node. A zero-weight link
+  // satisfies the test in both directions, so nodes already on the path
+  // are skipped: only simple paths are listed.
   std::vector<double> w = link_weights(topo, weight);
   auto to_dst = dijkstra(topo, dst, w);
   double total = to_dst.dist[static_cast<std::size_t>(src)];
@@ -133,6 +135,8 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
 
   constexpr double kEps = 1e-12;
   Path current{src};
+  std::vector<char> on_path(static_cast<std::size_t>(topo.node_count()), 0);
+  on_path[static_cast<std::size_t>(src)] = 1;
   // Iterative DFS with explicit stack of (node, next-neighbor-index).
   struct Frame {
     NodeId node;
@@ -149,7 +153,7 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
       LinkId lid = adj[f.next_idx++];
       NodeId v = topo.link(lid).other(u);
       double dv = to_dst.dist[static_cast<std::size_t>(v)];
-      if (dv == kInf) continue;
+      if (dv == kInf || on_path[static_cast<std::size_t>(v)]) continue;
       double reached = f.prefix + w[static_cast<std::size_t>(lid)];
       if (std::abs(reached + dv - total) > kEps) continue;
       current.push_back(v);
@@ -159,11 +163,13 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
         if (static_cast<int>(out.size()) >= max_paths) break;
         continue;
       }
+      on_path[static_cast<std::size_t>(v)] = 1;
       stack.push_back({v, 0, reached});  // invalidates `f`
       descended = true;
       break;
     }
     if (!descended && f.next_idx >= adj.size()) {
+      on_path[static_cast<std::size_t>(u)] = 0;
       stack.pop_back();
       current.pop_back();
     }

@@ -288,5 +288,25 @@ TEST(CacheHierarchy, WriteBackModeMatchesShadowSwitchSemantics) {
   EXPECT_EQ(h.flush_orphans(), 0u);
 }
 
+TEST(CacheHierarchy, WriteBackFlushKeepsArrivalTieBreak) {
+  // Two equal-priority overlapping rules, the higher id first. Before the
+  // flush the software tier answers by arrival; the flush must write them
+  // in that order so the TCAM gives the same answer.
+  CacheConfig config;
+  config.mode = Mode::kWriteBack;
+  CacheHierarchy h(tcam::pica8_p3290(), 100, config);
+  h.handle(0, {FlowModType::kInsert, make_rule(5, 7, "10.0.0.0/24", 5)});
+  h.handle(0, {FlowModType::kInsert, make_rule(3, 7, "10.0.0.0/16", 3)});
+  const net::Ipv4Address addr = addr_of("10.0.0.7");
+  const net::Rule* before = h.lookup_ptr(0, addr);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->id, 5u);
+  h.flush(from_millis(1));
+  ASSERT_EQ(h.software_resident(), 0);
+  const net::Rule* after = h.lookup_ptr(from_millis(1), addr);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->id, 5u);
+}
+
 }  // namespace
 }  // namespace hermes::cache

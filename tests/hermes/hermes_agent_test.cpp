@@ -244,6 +244,25 @@ TEST(HermesAgent, ShadowOverflowCountsViolation) {
   EXPECT_EQ(agent.main_occupancy(), 6);
 }
 
+TEST(HermesAgent, MainOverflowRejects) {
+  // Total 8, shadow 2 -> main 6. Twelve disjoint /32s at priority 1: 6
+  // land in main, 2 take the shadow path, and the main table rejects the
+  // remaining 4.
+  HermesConfig config = test_config();
+  config.shadow_capacity = 2;
+  HermesAgent agent(tcam::pica8_p3290(), 8, config);
+  for (net::RuleId id = 1; id <= 12; ++id) {
+    Rule rule{id, 1,
+              Prefix(net::Ipv4Address(0x0A000000u |
+                                      static_cast<std::uint32_t>(id)),
+                     32),
+              net::forward_to(static_cast<int>(id))};
+    agent.insert(from_millis(static_cast<Time>(id)), rule);
+  }
+  EXPECT_EQ(agent.stats().failed_ops, 4u);
+  EXPECT_EQ(agent.store().size(), 8u);
+}
+
 TEST(HermesAgent, ActionOnlyModifyIsCheapAndCorrect) {
   HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
   agent.insert(0, make_rule(1, 5, "10.0.0.0/8", 1));

@@ -16,23 +16,33 @@
 namespace hermes::net {
 namespace {
 
-Topology random_graph(std::mt19937_64& rng, int n, double edge_prob) {
+// Link delays are 1..9 ms, or with `tied` 0, 1 or 2 ms: zero-weight
+// links and many equal-cost paths.
+Topology random_graph(std::mt19937_64& rng, int n, double edge_prob,
+                      bool tied = false) {
   Topology t;
   for (int i = 0; i < n; ++i)
     t.add_node(NodeKind::kSwitch, "n" + std::to_string(i));
+  auto delay = [&] {
+    return tied ? 1e-3 * static_cast<double>(rng() % 3)
+                : 1e-3 * (1 + static_cast<double>(rng() % 9));
+  };
   // Spanning path for connectivity, then random extra edges.
   std::uniform_real_distribution<double> unit(0, 1);
-  for (int i = 0; i + 1 < n; ++i)
-    t.add_link(i, i + 1, 1e9, 1e-3 * (1 + static_cast<double>(rng() % 9)));
+  for (int i = 0; i + 1 < n; ++i) t.add_link(i, i + 1, 1e9, delay());
   for (int i = 0; i < n; ++i) {
     for (int j = i + 2; j < n; ++j) {
-      if (unit(rng) < edge_prob)
-        t.add_link(i, j, 1e9,
-                   1e-3 * (1 + static_cast<double>(rng() % 9)));
+      if (unit(rng) < edge_prob) t.add_link(i, j, 1e9, delay());
     }
   }
   return t;
 }
+
+// Whole milliseconds: exact sums, so path costs compare with ==.
+LinkWeight whole_ms() {
+  return [](const Link& l) { return std::round(l.delay_s * 1e3); };
+}
+
 
 // All loopless paths src->dst by DFS (graphs are small).
 void all_paths(const Topology& t, NodeId at, NodeId dst,
@@ -109,26 +119,31 @@ TEST_P(RoutingProperty, YenMatchesBruteForceTopK) {
 }
 
 TEST_P(RoutingProperty, EcmpEnumeratesAllMinimumCostPaths) {
-  std::mt19937_64 rng(GetParam() ^ 0x5555);
-  Topology t = random_graph(rng, 6, 0.4);
-  auto weight = hop_count();  // hop count => many ties => real ECMP sets
-  NodeId src = 0;
-  NodeId dst = t.node_count() - 1;
-  auto ecmp = ecmp_paths(t, src, dst, weight, 64);
-  auto brute = brute_force_paths(t, src, dst);
-  double best = std::numeric_limits<double>::infinity();
-  for (const Path& p : brute) best = std::min(best, path_cost(t, p, weight));
-  std::set<Path> expected;
-  for (const Path& p : brute)
-    if (path_cost(t, p, weight) == best) expected.insert(p);
-  std::set<Path> got(ecmp.begin(), ecmp.end());
-  EXPECT_EQ(got, expected);
+  // Hop count => many ties => real ECMP sets. Tied graphs add zero-weight
+  // links, weighed in whole milliseconds so costs compare exactly.
+  for (bool tied : {false, true}) {
+    std::mt19937_64 rng(GetParam() ^ (tied ? 0x3333 : 0x5555));
+    Topology t = random_graph(rng, 6, 0.4, tied);
+    auto weight = tied ? whole_ms() : hop_count();
+    NodeId src = 0;
+    NodeId dst = t.node_count() - 1;
+    auto ecmp = ecmp_paths(t, src, dst, weight, 64);
+    auto brute = brute_force_paths(t, src, dst);
+    double best = std::numeric_limits<double>::infinity();
+    for (const Path& p : brute) best = std::min(best, path_cost(t, p, weight));
+    std::set<Path> expected;
+    for (const Path& p : brute)
+      if (path_cost(t, p, weight) == best) expected.insert(p);
+    std::set<Path> got(ecmp.begin(), ecmp.end());
+    EXPECT_EQ(got, expected) << "tied " << tied;
+  }
 }
 
 // Reference implementations: the two-search ECMP enumeration and the
 // std::set-based Yen that routing.cpp used before its single weighted
 // search, kept here as oracles. Weights go through the LinkWeight on
-// every edge, as they did then.
+// every edge, as they did then. The ECMP DFS also skips nodes already on
+// the path, without which it never ends on a zero-weight link.
 struct RefSssp {
   std::vector<double> dist;
   std::vector<LinkId> pred;
@@ -189,19 +204,25 @@ std::vector<Path> ref_ecmp(const Topology& t, NodeId src, NodeId dst,
   double total = from_src.dist[static_cast<std::size_t>(dst)];
   if (total == std::numeric_limits<double>::infinity()) return out;
   Path current{src};
+  std::vector<char> used(static_cast<std::size_t>(t.node_count()), 0);
+  used[static_cast<std::size_t>(src)] = 1;
   std::function<void(NodeId)> dfs = [&](NodeId u) {
     for (LinkId lid : t.links_of(u)) {
       if (static_cast<int>(out.size()) >= max_paths) return;
       NodeId v = t.link(lid).other(u);
+      if (used[static_cast<std::size_t>(v)]) continue;
       double dv = to_dst.dist[static_cast<std::size_t>(v)];
       if (dv == std::numeric_limits<double>::infinity()) continue;
       double du = from_src.dist[static_cast<std::size_t>(u)];
       if (std::abs(du + weight(t.link(lid)) + dv - total) > 1e-12) continue;
       current.push_back(v);
-      if (v == dst)
+      if (v == dst) {
         out.push_back(current);
-      else
+      } else {
+        used[static_cast<std::size_t>(v)] = 1;
         dfs(v);
+        used[static_cast<std::size_t>(v)] = 0;
+      }
       current.pop_back();
     }
   };
@@ -258,18 +279,21 @@ std::vector<Path> ref_yen(const Topology& t, NodeId src, NodeId dst,
 
 TEST_P(RoutingProperty, EcmpMatchesTwoSearchReference) {
   // Delay weights are non-integer (sums round differently along
-  // different equal-cost paths); hop counts give large tie sets.
-  std::mt19937_64 rng(GetParam() ^ 0x77);
-  for (int graph = 0; graph < 4; ++graph) {
-    Topology t = random_graph(rng, 9, 0.35);
-    for (const LinkWeight& weight : {propagation_delay(), hop_count()}) {
-      for (NodeId src = 0; src < t.node_count(); ++src) {
-        for (NodeId dst = 0; dst < t.node_count(); ++dst) {
-          for (int max_paths : {1, 3, 64}) {
-            EXPECT_EQ(ecmp_paths(t, src, dst, weight, max_paths),
-                      ref_ecmp(t, src, dst, weight, max_paths))
-                << "graph " << graph << " " << src << "->" << dst
-                << " max " << max_paths;
+  // different equal-cost paths); hop counts give large tie sets; tied
+  // graphs add zero-weight links and repeated weights.
+  for (bool tied : {false, true}) {
+    std::mt19937_64 rng(GetParam() ^ (tied ? 0x33 : 0x77));
+    for (int graph = 0; graph < 4; ++graph) {
+      Topology t = random_graph(rng, 9, 0.35, tied);
+      for (const LinkWeight& weight : {propagation_delay(), hop_count()}) {
+        for (NodeId src = 0; src < t.node_count(); ++src) {
+          for (NodeId dst = 0; dst < t.node_count(); ++dst) {
+            for (int max_paths : {1, 3, 64}) {
+              EXPECT_EQ(ecmp_paths(t, src, dst, weight, max_paths),
+                        ref_ecmp(t, src, dst, weight, max_paths))
+                  << "tied " << tied << " graph " << graph << " " << src
+                  << "->" << dst << " max " << max_paths;
+            }
           }
         }
       }
@@ -278,14 +302,16 @@ TEST_P(RoutingProperty, EcmpMatchesTwoSearchReference) {
 }
 
 TEST_P(RoutingProperty, YenMatchesSetBasedReference) {
-  std::mt19937_64 rng(GetParam() ^ 0x99);
-  for (int graph = 0; graph < 4; ++graph) {
-    Topology t = random_graph(rng, 8, 0.4);
-    for (const LinkWeight& weight : {propagation_delay(), hop_count()}) {
-      for (NodeId dst = 1; dst < t.node_count(); ++dst) {
-        EXPECT_EQ(k_shortest_paths(t, 0, dst, weight, 6),
-                  ref_yen(t, 0, dst, weight, 6))
-            << "graph " << graph << " 0->" << dst;
+  for (bool tied : {false, true}) {
+    std::mt19937_64 rng(GetParam() ^ (tied ? 0x44 : 0x99));
+    for (int graph = 0; graph < 4; ++graph) {
+      Topology t = random_graph(rng, 8, 0.4, tied);
+      for (const LinkWeight& weight : {propagation_delay(), hop_count()}) {
+        for (NodeId dst = 1; dst < t.node_count(); ++dst) {
+          EXPECT_EQ(k_shortest_paths(t, 0, dst, weight, 6),
+                    ref_yen(t, 0, dst, weight, 6))
+              << "tied " << tied << " graph " << graph << " 0->" << dst;
+        }
       }
     }
   }
@@ -327,6 +353,18 @@ TEST(YenBannedLinks, SpursAvoidEveryLinkTakenFromASharedRoot) {
   std::vector<Path> want{{0, 1, 2, 5}, {0, 1, 3, 5}, {0, 1, 4, 5}};
   EXPECT_EQ(yen, want);
   EXPECT_EQ(yen, ref_yen(t, 0, 5, propagation_delay(), 5));
+}
+
+TEST(EcmpZeroWeight, ListsOnlySimplePaths) {
+  // 0 -(0 s)- 1 -(1 ms)- 2. Link 1-2 is added first, so node 1 reaches 2
+  // before it tries the zero-weight link back to 0, which also keeps
+  // prefix + weight + distance-to-2 at the optimum.
+  Topology t;
+  for (int i = 0; i < 3; ++i) t.add_node(NodeKind::kSwitch, std::to_string(i));
+  t.add_link(1, 2, 1e9, 1e-3);
+  t.add_link(0, 1, 1e9, 0.0);
+  EXPECT_EQ(ecmp_paths(t, 0, 2, propagation_delay(), 2),
+            (std::vector<Path>{{0, 1, 2}}));
 }
 
 }  // namespace

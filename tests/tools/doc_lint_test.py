@@ -33,6 +33,15 @@ constexpr const char* kScenarioNames[] = {
     "alpha_storm", "beta_shift"};
 """
 
+CONFIG_H = """
+struct HermesConfig {
+  /// Explicit shadow size; 0 = derive it.
+  int shadow_capacity = 0;
+  std::function<bool(const Rule&)> predicate;  // int commented_out;
+  Duration epoch{25};
+};
+"""
+
 METRICS_CPP = """
 std::string_view kind_name(EventKind kind) {
   switch (kind) {
@@ -57,7 +66,7 @@ def make_tree(root):
     write(root, "README.md",
           "Kinds: `tcam_shift`, `policy_decision`. See `docs/SCENARIOS.md`.")
     write(root, "EXPERIMENTS.md", "Gated: metric_a.")
-    write(root, "DESIGN.md", "Design.")
+    write(root, "DESIGN.md", "Design: `HermesConfig::shadow_capacity`.")
     write(root, "docs/METRICS.md", "| `tcam_shift` | | |\n"
                                    "| `policy_decision` | | |")
     write(root, "docs/SCENARIOS.md", "### alpha_storm\n### beta_shift\n")
@@ -65,6 +74,7 @@ def make_tree(root):
     write(root, "bench/baselines/BENCH_x.json", BASELINE)
     write(root, "bench/bench_matrix.cpp", MATRIX_CPP)
     write(root, "src/obs/metrics.cpp", METRICS_CPP)
+    write(root, "src/hermes/config.h", CONFIG_H)
 
 
 class DocLintTest(unittest.TestCase):
@@ -135,6 +145,29 @@ class DocLintTest(unittest.TestCase):
         self.assertTrue(
             any("docs/METRICS.md" in e and "policy_decision" in e
                 for e in errors))
+
+    def test_declared_config_fields_pass(self):
+        errors = self.lint_tree(
+            lambda root: write(root, "docs/CONFIG.md",
+                               "`HermesConfig::predicate` and "
+                               "`HermesConfig::epoch`"))
+        self.assertEqual(errors, [])
+
+    def test_undeclared_config_field_fails(self):
+        # A deleted option still named in the docs; a name that appears
+        # only in a comment inside the struct does not count.
+        errors = self.lint_tree(
+            lambda root: write(root, "DESIGN.md",
+                               "`HermesConfig::removed_option`, "
+                               "`HermesConfig::commented_out`"))
+        self.assertTrue(any("removed_option" in e for e in errors))
+        self.assertTrue(any("commented_out" in e for e in errors))
+
+    def test_config_field_without_header_fails(self):
+        errors = self.lint_tree(
+            lambda root: write(root, "EXPERIMENTS.md",
+                               "Gated: metric_a. `SimConfig::seed`"))
+        self.assertTrue(any("SimConfig::seed" in e for e in errors))
 
     def test_real_repo_lints_clean(self):
         repo = TOOL.parent.parent

@@ -22,8 +22,12 @@ Checks (all of them; exit 1 if any reference is broken):
      src/obs/metrics.cpp appears in README.md and docs/METRICS.md (this
      rule would have caught README's trace-kind list silently going
      stale when update_phase/cache_op were added).
+  6. Every backticked `HermesConfig::<field>`, `CacheConfig::<field>` or
+     `SimConfig::<field>` in the documents names a field declared in that
+     struct in its header (src/hermes/config.h, src/cache/cache_hierarchy.h,
+     src/sim/simulation.h), so a deleted option cannot stay documented.
 
-Checks 1-3 cover README.md / EXPERIMENTS.md / DESIGN.md plus every
+Checks 1-3 and 6 cover README.md / EXPERIMENTS.md / DESIGN.md plus every
 Markdown file under docs/, recursively.
 
 The point is cheap honesty: docs routinely outlive renames, and a stale
@@ -64,6 +68,45 @@ QUOTED_NAME = re.compile(r'"([a-z0-9_]+)"')
 # kind_name() switch cases in src/obs/metrics.cpp: the full set of
 # trace-event kinds the obs layer can emit.
 KIND_RETURN = re.compile(r'case\s+EventKind::\w+:\s*return\s+"([a-z0-9_]+)"')
+
+# Config structs whose fields the docs name as `Struct::field`, and the
+# header that declares each.
+CONFIG_HEADERS = {
+    "HermesConfig": "src/hermes/config.h",
+    "CacheConfig": "src/cache/cache_hierarchy.h",
+    "SimConfig": "src/sim/simulation.h",
+}
+CONFIG_FIELD_TOKEN = re.compile(
+    r"`(" + "|".join(CONFIG_HEADERS) + r")::([A-Za-z_][A-Za-z0-9_]*)`"
+)
+LINE_COMMENT = re.compile(r"//[^\n]*")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def struct_fields(header: str, struct: str):
+    """Names of the data members declared directly in `struct`'s body
+    (nested braces and parentheses skipped), or None if it is absent."""
+    text = LINE_COMMENT.sub("", header)
+    start = re.search(r"\bstruct\s+" + struct + r"\s*\{", text)
+    if not start:
+        return None
+    fields, statement, depth = set(), "", 0
+    for ch in text[start.end():]:
+        if ch in "{(":
+            depth += 1
+        elif ch in ")}":
+            if depth == 0:
+                break  # the struct's closing brace
+            depth -= 1
+        elif depth == 0:
+            if ch == ";":
+                names = IDENTIFIER.findall(statement.split("=", 1)[0])
+                if names:
+                    fields.add(names[-1])
+                statement = ""
+            else:
+                statement += ch
+    return fields
 
 
 def lint(root: Path) -> list[str]:
@@ -157,6 +200,27 @@ def lint(root: Path) -> list[str]:
                         f"{doc}: trace-event kind `{kind}` "
                         "(src/obs/metrics.cpp) is never mentioned"
                     )
+
+    # 6. Config fields named in the docs exist in their struct.
+    fields_of = {}
+    for name, text in texts.items():
+        for struct, field in sorted(set(CONFIG_FIELD_TOKEN.findall(text))):
+            if struct not in fields_of:
+                header = root / CONFIG_HEADERS[struct]
+                fields_of[struct] = (
+                    struct_fields(header.read_text(encoding="utf-8"), struct)
+                    if header.is_file() else None
+                )
+            if fields_of[struct] is None:
+                errors.append(
+                    f"{name}: `{struct}::{field}` but {CONFIG_HEADERS[struct]} "
+                    f"declares no struct {struct}"
+                )
+            elif field not in fields_of[struct]:
+                errors.append(
+                    f"{name}: `{struct}::{field}` is not a field of {struct} "
+                    f"({CONFIG_HEADERS[struct]})"
+                )
     return errors
 
 
