@@ -33,7 +33,7 @@ double EwmaPredictor::predict(std::span<const double> history) const {
 // --- Cubic spline ------------------------------------------------------------
 
 CubicSplinePredictor::CubicSplinePredictor(int window) : window_(window) {
-  assert(window >= 3);
+  assert(window >= 3 && window <= kMaxWindow);
 }
 
 double CubicSplinePredictor::predict(std::span<const double> history) const {
@@ -49,13 +49,16 @@ double CubicSplinePredictor::predict(std::span<const double> history) const {
 
   // Natural cubic spline: solve the tridiagonal system for the second
   // derivatives M_i (M_0 = M_{n-1} = 0), knot spacing h = 1.
-  std::vector<double> m(n, 0.0);
+  double m[kMaxWindow];
+  m[0] = m[n - 1] = 0.0;
   {
     std::size_t interior = n - 2;
-    std::vector<double> diag(interior, 4.0);
-    std::vector<double> rhs(interior);
-    for (std::size_t i = 0; i < interior; ++i)
+    double diag[kMaxWindow];
+    double rhs[kMaxWindow];
+    for (std::size_t i = 0; i < interior; ++i) {
+      diag[i] = 4.0;
       rhs[i] = 6.0 * (y[i + 2] - 2 * y[i + 1] + y[i]);
+    }
     // Thomas algorithm with unit off-diagonals.
     for (std::size_t i = 1; i < interior; ++i) {
       double w = 1.0 / diag[i - 1];
@@ -85,7 +88,7 @@ double CubicSplinePredictor::predict(std::span<const double> history) const {
 
 ArmaPredictor::ArmaPredictor(int order, int window)
     : order_(order), window_(window) {
-  assert(order >= 1 && window > order * 2);
+  assert(order >= 1 && order <= kMaxOrder && window > order * 2);
 }
 
 double ArmaPredictor::predict(std::span<const double> history) const {
@@ -99,7 +102,7 @@ double ArmaPredictor::predict(std::span<const double> history) const {
                 static_cast<double>(n);
 
   // Sample autocovariances r_0..r_p.
-  std::vector<double> r(static_cast<std::size_t>(p) + 1, 0.0);
+  double r[kMaxOrder + 1];
   for (int lag = 0; lag <= p; ++lag) {
     double acc = 0;
     for (std::size_t i = static_cast<std::size_t>(lag); i < n; ++i)
@@ -109,8 +112,8 @@ double ArmaPredictor::predict(std::span<const double> history) const {
   if (r[0] <= 1e-12) return clamp_forecast(mean);  // constant series
 
   // Levinson-Durbin recursion for the AR coefficients phi_1..phi_p.
-  std::vector<double> phi(static_cast<std::size_t>(p) + 1, 0.0);
-  std::vector<double> prev(static_cast<std::size_t>(p) + 1, 0.0);
+  double phi[kMaxOrder + 1] = {};
+  double prev[kMaxOrder + 1];
   double err = r[0];
   for (int k = 1; k <= p; ++k) {
     double acc = r[static_cast<std::size_t>(k)];
@@ -118,7 +121,7 @@ double ArmaPredictor::predict(std::span<const double> history) const {
       acc -= phi[static_cast<std::size_t>(j)] *
              r[static_cast<std::size_t>(k - j)];
     double reflection = acc / err;
-    prev = phi;
+    std::copy_n(phi, k, prev);
     phi[static_cast<std::size_t>(k)] = reflection;
     for (int j = 1; j < k; ++j)
       phi[static_cast<std::size_t>(j)] =
@@ -165,28 +168,21 @@ GrowthEstimator::GrowthEstimator(std::unique_ptr<Predictor> predictor,
 }
 
 void GrowthEstimator::observe(double count) {
-  // Score the forecast this history WOULD have produced for the epoch
-  // that just closed (guarded: predict() is not free, so only pay for it
-  // when a registry is actually collecting).
-  if (obs_samples_.attached() && !history_.empty()) {
+  // Score the forecast made for the epoch that just closed.
+  if (obs_samples_.attached() && !history().empty()) {
     obs_samples_.inc();
-    obs_abs_error_.record(static_cast<std::uint64_t>(
-        std::abs(raw_prediction() - count) + 0.5));
+    obs_abs_error_.record(
+        static_cast<std::uint64_t>(std::abs(forecast_ - count) + 0.5));
   }
-  history_.push_back(count);
-  if (history_.size() > max_history_)
-    history_.erase(history_.begin(),
-                   history_.begin() +
-                       static_cast<std::ptrdiff_t>(history_.size() -
-                                                   max_history_));
-}
-
-double GrowthEstimator::raw_prediction() const {
-  return predictor_->predict(history_);
-}
-
-double GrowthEstimator::predicted_next() const {
-  return corrector_->correct(raw_prediction());
+  if (window_.size() == 2 * max_history_) {
+    std::copy(window_.end() - static_cast<std::ptrdiff_t>(max_history_),
+              window_.end(), window_.begin());
+    window_.resize(max_history_);
+    head_ = 0;
+  }
+  window_.push_back(count);
+  if (window_.size() - head_ > max_history_) ++head_;
+  forecast_ = predictor_->predict(history());
 }
 
 // --- Factories -----------------------------------------------------------------

@@ -46,6 +46,9 @@ class EwmaPredictor final : public Predictor {
 /// one step past the end using the final polynomial segment.
 class CubicSplinePredictor final : public Predictor {
  public:
+  /// predict() solves in fixed stack scratch of this many knots.
+  static constexpr int kMaxWindow = 64;
+
   explicit CubicSplinePredictor(int window = 8);
   double predict(std::span<const double> history) const override;
   std::string_view name() const override { return "CubicSpline"; }
@@ -60,6 +63,9 @@ class CubicSplinePredictor final : public Predictor {
 /// well-fit AR, so this is effectively ARMA(p, 0).
 class ArmaPredictor final : public Predictor {
  public:
+  /// predict() fits in fixed stack scratch of this many coefficients.
+  static constexpr int kMaxOrder = 16;
+
   explicit ArmaPredictor(int order = 3, int window = 32);
   double predict(std::span<const double> history) const override;
   std::string_view name() const override { return "ARMA"; }
@@ -103,30 +109,47 @@ class DeadzoneCorrector final : public Corrector {
 
 /// Bounded arrival-count history + predictor + corrector, packaged for the
 /// Rule Manager. Counts are recorded per fixed epoch by the caller.
+///
+/// The raw forecast is a pure function of the history, and the history
+/// only changes in observe(), so observe() runs the predictor once and
+/// every reader gets the cached value: one solve per closed epoch.
 class GrowthEstimator {
  public:
   GrowthEstimator(std::unique_ptr<Predictor> predictor,
                   std::unique_ptr<Corrector> corrector,
                   std::size_t max_history = 256);
 
-  /// Records the arrival count observed in the epoch that just closed.
+  /// Records the arrival count observed in the epoch that just closed
+  /// and forecasts the next one.
   void observe(double count);
 
   /// Corrected forecast of next epoch's arrivals.
-  double predicted_next() const;
+  double predicted_next() const { return corrector_->correct(forecast_); }
   /// Uncorrected forecast (for error analysis).
-  double raw_prediction() const;
+  double raw_prediction() const { return forecast_; }
 
   const Predictor& predictor() const { return *predictor_; }
   const Corrector& corrector() const { return *corrector_; }
-  std::span<const double> history() const { return history_; }
-  void reset() { history_.clear(); }
+  /// The last `max_history` observed counts, oldest first.
+  std::span<const double> history() const {
+    return std::span<const double>(window_).subspan(head_);
+  }
+  void reset() {
+    window_.clear();
+    head_ = 0;
+    forecast_ = 0;  // predict() of an empty history
+  }
 
  private:
   std::unique_ptr<Predictor> predictor_;
   std::unique_ptr<Corrector> corrector_;
   std::size_t max_history_;
-  std::vector<double> history_;
+  // history() is window_[head_..]. Pushes append and advance head_; once
+  // window_ holds 2 * max_history_ values the live half moves to the
+  // front, so each push costs O(1) amortised instead of an erase.
+  std::vector<double> window_;
+  std::size_t head_ = 0;
+  double forecast_ = 0;  // predictor_->predict(history())
 
   // Forecast-accuracy aggregates (process-attached registry; detached
   // no-op handles otherwise). The error histogram records |raw forecast -

@@ -86,8 +86,8 @@ inline TraceEvent migration_batch_event(TimeNs t, int rules, int pieces,
   return e;
 }
 
-/// A closed prediction epoch: the (corrected) forecast made for the
-/// epoch vs. the arrivals actually observed.
+/// A closed prediction epoch: the raw (uncorrected) forecast made for
+/// the epoch vs. the arrivals actually observed.
 inline TraceEvent predictor_sample_event(TimeNs t, double forecast,
                                          double actual) {
   TraceEvent e;

@@ -26,6 +26,8 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
       paths_(topology, config_.paths_per_pair, net::hop_count()),
       rng_(config_.seed) {
   if (config_.backend_factory) {
+    backend_of_.assign(static_cast<std::size_t>(topology.node_count()),
+                       nullptr);
     for (net::NodeId sw : topology.switches()) {
       auto backend = config_.backend_factory(sw, topology.node(sw).name);
       if (config_.faults_enabled) {
@@ -40,7 +42,8 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
         fault_plans_.push_back(std::make_unique<fault::FaultPlan>(fc));
         backend->set_fault_plan(fault_plans_.back().get());
       }
-      backends_.emplace(sw, std::move(backend));
+      backend_of_[static_cast<std::size_t>(sw)] = backend.get();
+      backends_.push_back(std::move(backend));
     }
     if (config_.controller_threads > 1 && !backends_.empty()) {
       // Sharded controller core: pin each backend to one worker shard
@@ -48,7 +51,7 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
       // path below stays untouched when controller_threads == 1.
       fleet_ = std::make_unique<FleetController>(config_.controller_threads);
       for (net::NodeId sw : topology.switches())
-        fleet_->add_switch(sw, backends_.at(sw).get());
+        fleet_->add_switch(sw, backend(sw));
       fleet_->start();
     }
   }
@@ -63,8 +66,8 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
   coordinator_ = std::make_unique<update::UpdateCoordinator>(
       events_,
       [this](Time now, net::NodeId sw, net::FlowModBatch& batch) {
-        auto it = backends_.find(sw);
-        if (it == backends_.end()) {
+        baselines::SwitchBackend* target = backend(sw);
+        if (target == nullptr) {
           // Perfect control plane: every op lands instantly.
           for (std::size_t i = 0; i < batch.size(); ++i)
             batch.complete(i, now, true);
@@ -75,7 +78,7 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
           fleet_->post_batch(now, sw, &batch);
           fleet_->join();
         } else {
-          it->second->handle_batch(now, batch);
+          target->handle_batch(now, batch);
         }
       },
       [this](Time now, net::NodeId sw, const net::FlowMod& mod) {
@@ -151,7 +154,7 @@ void Simulation::tick_backends(Time now) {
     fleet_->post_tick(now);
     return;
   }
-  for (auto& [sw, backend] : backends_) backend->tick(now);
+  for (auto& backend : backends_) backend->tick(now);
 }
 
 void Simulation::dispatch_mod(Time now, net::NodeId sw,
@@ -160,8 +163,8 @@ void Simulation::dispatch_mod(Time now, net::NodeId sw,
     fleet_->post_mod(now, sw, mod);
     return;
   }
-  auto it = backends_.find(sw);
-  if (it != backends_.end()) it->second->handle(now, mod);
+  if (baselines::SwitchBackend* target = backend(sw))
+    target->handle(now, mod);
 }
 
 void Simulation::tick_backends_and_reschedule(Time now) {
@@ -449,7 +452,7 @@ std::vector<JobResult> Simulation::job_results() const {
 
 std::vector<Duration> Simulation::all_rit_samples() const {
   std::vector<Duration> out;
-  for (const auto& [sw, backend] : backends_) {
+  for (const auto& backend : backends_) {
     const auto& samples = backend->rit_samples();
     out.insert(out.end(), samples.begin(), samples.end());
   }
@@ -457,8 +460,8 @@ std::vector<Duration> Simulation::all_rit_samples() const {
 }
 
 baselines::SwitchBackend* Simulation::backend(net::NodeId switch_id) {
-  auto it = backends_.find(switch_id);
-  return it == backends_.end() ? nullptr : it->second.get();
+  auto i = static_cast<std::size_t>(switch_id);
+  return i < backend_of_.size() ? backend_of_[i] : nullptr;
 }
 
 }  // namespace hermes::sim

@@ -198,8 +198,11 @@ class Simulation {
   net::PathDatabase paths_;
   std::mt19937_64 rng_;
 
-  std::unordered_map<net::NodeId, std::unique_ptr<baselines::SwitchBackend>>
-      backends_;
+  /// Switch backends in topology.switches() order, so ticks and sample
+  /// collection walk them in switch order. backend_of_ is indexed by
+  /// NodeId (null: no backend, a perfect control plane).
+  std::vector<std::unique_ptr<baselines::SwitchBackend>> backends_;
+  std::vector<baselines::SwitchBackend*> backend_of_;
   std::vector<std::unique_ptr<fault::FaultPlan>> fault_plans_;
   /// Sharded controller core (controller_threads > 1). Declared after the
   /// backends so its destructor joins the workers before any backend

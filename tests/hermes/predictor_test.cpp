@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <span>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace hermes::core {
 namespace {
@@ -122,12 +126,26 @@ TEST(GrowthEstimator, ObserveAndPredict) {
 }
 
 TEST(GrowthEstimator, HistoryIsBounded) {
-  GrowthEstimator est(std::make_unique<EwmaPredictor>(),
-                      std::make_unique<SlackCorrector>(0.0),
-                      /*max_history=*/4);
-  for (int i = 0; i < 10; ++i) est.observe(i);
-  EXPECT_EQ(est.history().size(), 4u);
-  EXPECT_EQ(est.history()[0], 6.0);
+  // Past several compactions of the window, for every predictor: the
+  // history is exactly the last max_history counts and the cached
+  // forecast is bit-equal to a fresh solve over it.
+  constexpr std::size_t kMax = 4;
+  for (const char* name : {"EWMA", "CubicSpline", "ARMA"}) {
+    SCOPED_TRACE(name);
+    GrowthEstimator est(make_predictor(name),
+                        std::make_unique<SlackCorrector>(0.0), kMax);
+    std::mt19937_64 rng(7);
+    std::vector<double> seen;
+    for (std::size_t i = 0; i < 4 * kMax + 1; ++i) {
+      seen.push_back(static_cast<double>(rng() % 1000));
+      est.observe(seen.back());
+      std::span<const double> h = est.history();
+      std::size_t kept = std::min(seen.size(), kMax);
+      ASSERT_EQ(h.size(), kept);
+      EXPECT_TRUE(std::equal(h.begin(), h.end(), seen.end() - kept));
+      EXPECT_EQ(est.raw_prediction(), est.predictor().predict(h));
+    }
+  }
 }
 
 TEST(GrowthEstimator, ResetClears) {
@@ -136,7 +154,48 @@ TEST(GrowthEstimator, ResetClears) {
   est.observe(50);
   est.reset();
   EXPECT_TRUE(est.history().empty());
+  EXPECT_EQ(est.raw_prediction(), 0.0);
   EXPECT_NEAR(est.predicted_next(), 5.0, 1e-9);  // 0 + deadzone
+}
+
+/// Forecasts the last count and counts its own solves.
+class CountingPredictor final : public Predictor {
+ public:
+  explicit CountingPredictor(int* solves) : solves_(solves) {}
+  double predict(std::span<const double> history) const override {
+    ++*solves_;
+    return history.empty() ? 0 : history.back();
+  }
+  std::string_view name() const override { return "Counting"; }
+
+ private:
+  int* solves_;
+};
+
+TEST(GrowthEstimator, OneSolvePerObserve) {
+  // A collecting registry makes observe() score the previous forecast;
+  // that must read the cached value, not solve again.
+  obs::Registry reg;
+  obs::attach(&reg);
+  int solves = 0;
+  GrowthEstimator est(std::make_unique<CountingPredictor>(&solves),
+                      std::make_unique<SlackCorrector>(0.5),
+                      /*max_history=*/3);
+  obs::attach(nullptr);
+  EXPECT_EQ(solves, 0);
+  for (int i = 1; i <= 10; ++i) {
+    est.observe(i);
+    EXPECT_EQ(solves, i);
+    for (int read = 0; read < 5; ++read) {
+      EXPECT_EQ(est.raw_prediction(), i);
+      EXPECT_EQ(est.predicted_next(), 1.5 * i);
+    }
+    EXPECT_EQ(solves, i);
+  }
+  EXPECT_EQ(reg.counter_value("predictor.samples"), 9u);
+  est.reset();
+  EXPECT_EQ(est.predicted_next(), 0.0);
+  EXPECT_EQ(solves, 10);
 }
 
 TEST(Factories, KnownNamesResolve) {
