@@ -8,18 +8,26 @@
 //
 //   * rows — wall-clock mods/sec and speedup_vs_1t per (switches,
 //     threads) cell. Machine-dependent; never regression-gated.
-//   * derived — virtual-time quantities that are bit-identical across
-//     machines and thread counts by the determinism contract
-//     (DESIGN.md "Sharded controller core"):
+//   * derived — gated in CI against bench/baselines/BENCH_fleet.json:
 //       fleet_determinism_rate   fraction of parallel cells whose result
 //                                hash matches the 1-thread oracle (1.0)
 //       fleet_virtual_mods_per_s mods per simulated second at the
-//                                largest fleet size (exact reproduction)
-//     These gate in CI against bench/baselines/BENCH_fleet.json.
+//                                largest fleet size
+//       bytes_per_switch_empty   HermesBackend::memory_bytes() summed over
+//       bytes_per_switch_loaded  the largest fleet before the first round
+//                                and after the last, per switch
+//       fleet_1t_scale_flatness  1-thread mods/s at the largest fleet over
+//                                1-thread mods/s at 512 switches
+//     The first four are virtual time or counted bytes: exact on any
+//     machine for a given standard library (DESIGN.md "Sharded controller
+//     core", "Per-switch memory accounting"). The flatness is a ratio of
+//     two wall-clock cells on the same machine; its baseline is the
+//     minimum over 5 smoke runs, like the other wall-clock baselines.
 //
 // Usage: bench_fleet [--smoke] [output.json]
 //   (default output: BENCH_fleet.json; --smoke shrinks the sweep to CI
-//    scale — the derived virtual-time metrics stay exact)
+//    scale: 512 switches on 1/2/4/8 threads plus 4096 switches on one
+//    thread, 2 rounds each)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -43,7 +51,16 @@ struct DriveResult {
   Time makespan = 0;        ///< latest virtual completion across the fleet
   std::uint64_t mods = 0;   ///< total flow-mods issued (inserts + deletes)
   double wall_ms = 0.0;     ///< wall clock of the timed drive
+  std::size_t bytes_empty = 0;   ///< fleet memory_bytes() before round 1
+  std::size_t bytes_loaded = 0;  ///< fleet memory_bytes() after the last
 };
+
+std::size_t fleet_bytes(
+    const std::vector<std::unique_ptr<baselines::HermesBackend>>& backends) {
+  std::size_t total = 0;
+  for (const auto& b : backends) total += b->memory_bytes();
+  return total;
+}
 
 net::Rule synth_rule(net::RuleId id, std::mt19937_64& rng) {
   int priority = static_cast<int>(rng() % 1024);
@@ -65,7 +82,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 /// post + execute + join — the controller core, not the workload
 /// generator.
 DriveResult drive(int switches, int threads, int rounds, int batch_size) {
-  std::vector<std::unique_ptr<baselines::SwitchBackend>> backends;
+  std::vector<std::unique_ptr<baselines::HermesBackend>> backends;
   backends.reserve(static_cast<std::size_t>(switches));
   sim::FleetController fleet(threads);
   for (int sw = 0; sw < switches; ++sw) {
@@ -73,6 +90,8 @@ DriveResult drive(int switches, int threads, int rounds, int batch_size) {
         tcam::pica8_p3290(), 4000));
     fleet.add_switch(sw, backends.back().get());
   }
+  DriveResult out;
+  out.bytes_empty = fleet_bytes(backends);
   fleet.start();
 
   // Pre-generate every round's install and teardown batches. Rule streams
@@ -105,7 +124,6 @@ DriveResult drive(int switches, int threads, int rounds, int batch_size) {
     }
   }
 
-  DriveResult out;
   auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
     Time now = from_millis(r + 1);
@@ -151,6 +169,7 @@ DriveResult drive(int switches, int threads, int rounds, int batch_size) {
   fleet.stop();
   out.wall_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
+  out.bytes_loaded = fleet_bytes(backends);
   return out;
 }
 
@@ -173,25 +192,34 @@ int main(int argc, char** argv) {
   std::printf("fleet-scale sharded controller%s (%u hardware threads)\n",
               smoke ? " [smoke]" : "", cores);
   std::printf("wall-clock rows are machine-dependent; only the derived "
-              "virtual-time metrics gate in CI\n");
+              "metrics gate in CI\n");
   if (cores < 8)
     std::printf("note: fewer than 8 cores — speedup_vs_1t cannot reach its "
                 "multi-core values on this machine\n");
   std::printf("\n");
 
   const std::vector<int> sizes =
-      smoke ? std::vector<int>{512} : std::vector<int>{512, 1024, 2048, 4096};
-  const std::vector<int> thread_counts{1, 2, 4, 8};
+      smoke ? std::vector<int>{512, 4096}
+            : std::vector<int>{512, 1024, 2048, 4096};
+  const std::vector<int> all_threads{1, 2, 4, 8};
   const int rounds = smoke ? 2 : 8;
   const int batch_size = 32;
 
   int cells = 0;
   int identical = 0;
   double virtual_rate = 0.0;
+  double rate_512_1t = 0.0;
+  double rate_largest_1t = 0.0;
+  double bytes_empty = 0.0;
+  double bytes_loaded = 0.0;
   for (int switches : sizes) {
     DriveResult oracle{};
     double base_rate = 0.0;
-    for (int threads : thread_counts) {
+    // The smoke run's largest fleet is one 1-thread cell: it feeds the
+    // memory and flatness metrics, and the 512-switch sweep already
+    // covers the parallel determinism check.
+    const bool one_thread = smoke && switches == sizes.back();
+    for (int threads : one_thread ? std::vector<int>{1} : all_threads) {
       DriveResult r = drive(switches, threads, rounds, batch_size);
       double rate = r.wall_ms > 0.0
                         ? static_cast<double>(r.mods) / (r.wall_ms / 1e3)
@@ -219,20 +247,34 @@ int main(int argc, char** argv) {
           .value("wall_ms", r.wall_ms)
           .value("mods_per_sec", rate)
           .value("speedup_vs_1t", speedup);
-      // Virtual-time throughput at the largest size, from the 1-thread
-      // oracle: pure virtual arithmetic, reproduces exactly everywhere.
-      if (threads == 1 && switches == sizes.back())
+      if (threads == 1 && switches == 512) rate_512_1t = rate;
+      // Virtual-time throughput and per-switch bytes at the largest size,
+      // from the 1-thread oracle: virtual arithmetic and counted bytes,
+      // reproducible everywhere.
+      if (threads == 1 && switches == sizes.back()) {
         virtual_rate =
             static_cast<double>(r.mods) / hermes::to_seconds(oracle.makespan);
+        rate_largest_1t = rate;
+        bytes_empty = static_cast<double>(r.bytes_empty) / switches;
+        bytes_loaded = static_cast<double>(r.bytes_loaded) / switches;
+      }
     }
   }
 
   rep.derived("fleet_determinism_rate",
               cells > 0 ? static_cast<double>(identical) / cells : 0.0);
   rep.derived("fleet_virtual_mods_per_s", virtual_rate);
+  const double flatness =
+      rate_512_1t > 0.0 ? rate_largest_1t / rate_512_1t : 0.0;
+  rep.derived("bytes_per_switch_empty", bytes_empty);
+  rep.derived("bytes_per_switch_loaded", bytes_loaded);
+  rep.derived("fleet_1t_scale_flatness", flatness);
   std::printf("\ndeterminism: %d/%d parallel cells bit-identical to the "
               "1-thread oracle; virtual rate %.0f mods/s\n",
               identical, cells, virtual_rate);
+  std::printf("memory at %d switches: %.0f B/switch empty, %.0f B/switch "
+              "loaded; 1-thread scale flatness %.2f\n",
+              sizes.back(), bytes_empty, bytes_loaded, flatness);
   rep.write(out_path);
   return identical == cells ? 0 : 1;
 }

@@ -38,6 +38,9 @@ class HermesBackend final : public SwitchBackend {
     agent_.asic().set_fault_plan(plan);
   }
 
+  /// Bytes the switch holds (HermesAgent::memory_bytes).
+  std::size_t memory_bytes() const { return agent_.memory_bytes(); }
+
   core::HermesAgent& agent() { return agent_; }
   const core::HermesAgent& agent() const { return agent_; }
 

@@ -5,6 +5,8 @@
 #include <limits>
 #include <unordered_set>
 
+#include "obs/memory.h"
+
 namespace hermes::core {
 
 namespace {
@@ -49,6 +51,14 @@ HermesAgent::HermesAgent(const tcam::SwitchModel& model,
   assert(policy_ && "unknown migration policy name");
   initial_shadow_capacity_ = shadow;
   expand_step_ = std::max(1, shadow / 8);
+}
+
+std::size_t HermesAgent::memory_bytes() const {
+  return sizeof(*this) + asic_.memory_bytes() + store_.memory_bytes() +
+         main_index_.memory_bytes() + shadow_index_.memory_bytes() +
+         obs::heap_bytes(rit_samples_) + obs::heap_bytes(op_latency_samples_) +
+         sizeof(GateKeeper) + sizeof(GrowthEstimator) +
+         estimator_->memory_bytes();
 }
 
 int HermesAgent::derive_shadow_capacity(const tcam::SwitchModel& model,

@@ -154,6 +154,15 @@ class HermesAgent {
   double admitted_rate() const { return admitted_rate_; }
 
   const AgentStats& stats() const { return stats_; }
+
+  /// Bytes this agent holds: its own object plus the heap of the ASIC,
+  /// the rule store, both overlap indices, the sample vectors, the gate
+  /// keeper and the growth estimator (obs/memory.h counting rule;
+  /// DESIGN.md "Per-switch memory accounting"). Computed on call. The
+  /// migration policy is not counted: a config may share one instance
+  /// across agents.
+  std::size_t memory_bytes() const;
+
   const GateKeeper& gate_keeper() const { return *gate_keeper_; }
   const RuleStore& store() const { return store_; }
   tcam::Asic& asic() { return asic_; }

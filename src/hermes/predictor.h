@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/memory.h"
 #include "obs/metrics.h"
 
 namespace hermes::core {
@@ -134,6 +135,8 @@ class GrowthEstimator {
   std::span<const double> history() const {
     return std::span<const double>(window_).subspan(head_);
   }
+  /// Heap bytes held by the history buffer (obs/memory.h counting rule).
+  std::size_t memory_bytes() const { return obs::heap_bytes(window_); }
   void reset() {
     window_.clear();
     head_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/memory.h"
+
 namespace hermes::core {
 
 void RuleStore::add(LogicalRule rule) {
@@ -36,9 +38,9 @@ LogicalRule* RuleStore::find_mutable(net::RuleId logical_id) {
 
 std::optional<net::RuleId> RuleStore::logical_of(
     net::RuleId physical_id) const {
-  auto it = physical_to_logical_.find(physical_id);
-  if (it == physical_to_logical_.end()) return std::nullopt;
-  return it->second;
+  const net::RuleId* logical = physical_to_logical_.find(physical_id);
+  if (logical == nullptr) return std::nullopt;
+  return *logical;
 }
 
 std::vector<net::RuleId> RuleStore::dependents_of(
@@ -102,9 +104,20 @@ void RuleStore::unlink(const LogicalRule& rule) {
 
 void RuleStore::link(const LogicalRule& rule) {
   for (net::RuleId pid : rule.physical_ids)
-    physical_to_logical_.emplace(pid, rule.original.id);
+    physical_to_logical_.insert(pid, rule.original.id);
   for (net::RuleId blocker : rule.cut_against)
     dependents_[blocker].insert(rule.original.id);
+}
+
+std::size_t RuleStore::memory_bytes() const {
+  std::size_t bytes = obs::hash_heap_bytes(logical_) +
+                      physical_to_logical_.memory_bytes() +
+                      obs::hash_heap_bytes(dependents_);
+  for (const auto& [id, rule] : logical_)
+    bytes += obs::heap_bytes(rule.physical_ids) +
+             obs::heap_bytes(rule.cut_against);
+  for (const auto& [id, set] : dependents_) bytes += obs::hash_heap_bytes(set);
+  return bytes;
 }
 
 }  // namespace hermes::core

@@ -16,6 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "net/id_map.h"
 #include "net/rule.h"
 
 namespace hermes::core {
@@ -76,12 +77,16 @@ class RuleStore {
 
   void clear();
 
+  /// Heap bytes held by the three maps, the rule records' id vectors and
+  /// the dependent sets (obs/memory.h counting rule).
+  std::size_t memory_bytes() const;
+
  private:
   void unlink(const LogicalRule& rule);
   void link(const LogicalRule& rule);
 
   std::unordered_map<net::RuleId, LogicalRule> logical_;
-  std::unordered_map<net::RuleId, net::RuleId> physical_to_logical_;
+  net::IdMap<net::RuleId> physical_to_logical_;
   std::unordered_map<net::RuleId, std::unordered_set<net::RuleId>>
       dependents_;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/memory.h"
+
 namespace hermes::tcam {
 
 Asic::Asic(const SwitchModel& model, std::vector<int> slice_sizes)
@@ -24,6 +26,13 @@ void Asic::apply_pending_resets(Time now) {
   for (TcamTable& t : slices_) t.clear();
   Time rebooted = fault_plan_->last_reset_time();
   for (Time& t : busy_until_) t = rebooted;
+}
+
+std::size_t Asic::memory_bytes() const {
+  std::size_t bytes = obs::heap_bytes(slices_) + obs::heap_bytes(busy_until_) +
+                      obs::heap_bytes(channel_stats_);
+  for (const TcamTable& t : slices_) bytes += t.memory_bytes();
+  return bytes;
 }
 
 int Asic::total_capacity() const {

@@ -50,10 +50,10 @@ class Asic {
 
   /// Re-carves the TCAM at runtime: moves `entries` slots of capacity
   /// from slice `from` to slice `to` (the expand-partition migration
-  /// action). Pure bookkeeping — resident rules do not move and the
-  /// total carving budget is conserved. Refuses (returns false, no
-  /// change) when `entries` is non-positive or slice `from` has fewer
-  /// than `entries` free slots.
+  /// action). Pure bookkeeping — resident rules do not move, nothing is
+  /// allocated, and the total carving budget is conserved. Refuses
+  /// (returns false, no change) when `entries` is non-positive or slice
+  /// `from` has fewer than `entries` free slots.
   bool transfer_capacity(int from, int to, int entries) {
     if (entries <= 0 || from == to) return false;
     TcamTable& donor = slice(from);
@@ -122,6 +122,10 @@ class Asic {
   Time submit_batch_delete(Time now, int slice_idx,
                            const std::vector<net::RuleId>& ids,
                            BatchResult* result = nullptr);
+
+  /// Heap bytes held by the slice array, every slice's storage and the
+  /// per-slice channel vectors (obs/memory.h counting rule).
+  std::size_t memory_bytes() const;
 
   Time busy_until(int slice_idx) const {
     return busy_until_[static_cast<std::size_t>(slice_idx)];

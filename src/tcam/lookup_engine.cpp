@@ -3,6 +3,8 @@
 #include <bit>
 #include <limits>
 
+#include "obs/memory.h"
+
 namespace hermes::tcam {
 
 namespace {
@@ -205,6 +207,12 @@ void LookupEngine::modify_match(const net::Rule& rule,
   pool_[node].rule.match = match;
   insert_node(match.length(), masked_key(match.address(), match.length()),
               node);
+}
+
+std::size_t LookupEngine::memory_bytes() const {
+  std::size_t bytes = obs::heap_bytes(pool_) + obs::heap_bytes(free_nodes_);
+  for (const Bucket& b : buckets_) bytes += obs::heap_bytes(b.cells);
+  return bytes;
 }
 
 void LookupEngine::clear() {

@@ -91,6 +91,10 @@ class LookupEngine {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// Heap bytes held by the bucket cell arrays, the node pool and its
+  /// free list (obs/memory.h counting rule); 0 until the first insert.
+  std::size_t memory_bytes() const;
+
   /// Structural self-check, for tests: chain ordering, cell/occupancy
   /// accounting, the non-empty-length bitmap, and the per-bucket
   /// max-priority bound. O(size).

@@ -1,7 +1,8 @@
 #include "tcam/tcam_table.h"
 
 #include <algorithm>
-#include <unordered_set>
+
+#include "obs/memory.h"
 
 namespace hermes::tcam {
 
@@ -15,15 +16,12 @@ constexpr auto kPriorityDescUpper = [](int priority, const net::Rule& r) {
 };
 }  // namespace
 
-TcamTable::TcamTable(int capacity) : capacity_(capacity > 0 ? capacity : 0) {
-  entries_.reserve(static_cast<std::size_t>(capacity_));
-  priority_of_.reserve(static_cast<std::size_t>(capacity_));
-}
+TcamTable::TcamTable(int capacity) : capacity_(capacity > 0 ? capacity : 0) {}
 
 std::size_t TcamTable::locate(net::RuleId id) const {
-  auto it = priority_of_.find(id);
-  if (it == priority_of_.end()) return kNoSlot;
-  int priority = it->second;
+  const int* found = priority_of_.find(id);
+  if (found == nullptr) return kNoSlot;
+  const int priority = *found;
   auto lo = std::lower_bound(entries_.begin(), entries_.end(), priority,
                              kByPriorityDesc);
   auto hi = std::upper_bound(lo, entries_.end(), priority, kPriorityDescUpper);
@@ -34,7 +32,7 @@ std::size_t TcamTable::locate(net::RuleId id) const {
 }
 
 OpResult TcamTable::insert(const net::Rule& rule) {
-  if (full() || priority_of_.count(rule.id) > 0) {
+  if (full() || priority_of_.contains(rule.id)) {
     ++stats_.failed_inserts;
     obs_failed_inserts_.inc();
     return {false, 0};
@@ -46,7 +44,7 @@ OpResult TcamTable::insert(const net::Rule& rule) {
                               kPriorityDescUpper);
   int shifts = static_cast<int>(entries_.end() - pos);
   entries_.insert(pos, rule);
-  priority_of_.emplace(rule.id, rule.priority);
+  priority_of_.insert(rule.id, rule.priority);
   engine_.insert(rule, seq_++);
   ++stats_.inserts;
   stats_.total_shifts += static_cast<std::uint64_t>(shifts);
@@ -72,7 +70,7 @@ TcamTable::BatchInsertResult TcamTable::insert_batch(
   // is free at its turn.
   std::vector<std::size_t> accepted;
   accepted.reserve(rules.size());
-  std::unordered_set<net::RuleId> batch_ids;
+  net::IdMap<bool> batch_ids;
   int free_slots = capacity_ - occupancy();
   // Sorted (ascending) priorities of already-accepted batch rules, for the
   // sequential shift count: entries a later batch rule would have shifted
@@ -81,7 +79,7 @@ TcamTable::BatchInsertResult TcamTable::insert_batch(
   std::vector<int> shifts_of(rules.size(), 0);
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const net::Rule& r = rules[i];
-    bool dup = priority_of_.count(r.id) > 0 || batch_ids.count(r.id) > 0;
+    bool dup = priority_of_.contains(r.id) || batch_ids.contains(r.id);
     if (dup || free_slots == 0) {
       ++stats_.failed_inserts;
       obs_failed_inserts_.inc();
@@ -90,7 +88,7 @@ TcamTable::BatchInsertResult TcamTable::insert_batch(
       continue;
     }
     --free_slots;
-    batch_ids.insert(r.id);
+    batch_ids.insert(r.id, true);
     auto pos = std::upper_bound(entries_.begin(), entries_.end(), r.priority,
                                 kPriorityDescUpper);
     int below_resident = static_cast<int>(entries_.end() - pos);
@@ -136,7 +134,7 @@ TcamTable::BatchInsertResult TcamTable::insert_batch(
   // batch arrival order below equal-priority residents, exactly like the
   // sequential insert loop.
   for (std::size_t i : accepted) {
-    priority_of_.emplace(rules[i].id, rules[i].priority);
+    priority_of_.insert(rules[i].id, rules[i].priority);
     engine_.insert(rules[i], seq_++);
     out.total_shifts += static_cast<std::uint64_t>(shifts_of[i]);
   }
@@ -209,7 +207,7 @@ std::optional<net::Rule> TcamTable::peek(net::Ipv4Address addr) const {
 }
 
 bool TcamTable::contains(net::RuleId id) const {
-  return priority_of_.count(id) > 0;
+  return priority_of_.contains(id);
 }
 
 std::optional<net::Rule> TcamTable::find(net::RuleId id) const {
@@ -224,6 +222,11 @@ const net::Rule* TcamTable::find_ptr(net::RuleId id) const {
 }
 
 std::vector<net::Rule> TcamTable::rules() const { return entries_; }
+
+std::size_t TcamTable::memory_bytes() const {
+  return obs::heap_bytes(entries_) + priority_of_.memory_bytes() +
+         engine_.memory_bytes();
+}
 
 void TcamTable::clear() {
   entries_.clear();
@@ -240,8 +243,8 @@ bool TcamTable::check_invariant() const {
   // the priority the rule is filed under (what locate() relies on).
   if (priority_of_.size() != entries_.size()) return false;
   for (const net::Rule& r : entries_) {
-    auto it = priority_of_.find(r.id);
-    if (it == priority_of_.end() || it->second != r.priority) return false;
+    const int* priority = priority_of_.find(r.id);
+    if (priority == nullptr || *priority != r.priority) return false;
   }
   // Engine <-> array agreement: same population, structurally sound.
   if (engine_.size() != entries_.size()) return false;

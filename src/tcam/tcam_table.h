@@ -29,9 +29,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "net/id_map.h"
 #include "net/ipv4.h"
 #include "net/rule.h"
 #include "obs/metrics.h"
@@ -65,6 +65,8 @@ class TcamTable {
   /// Re-sizes the slice's entry budget (TCAM re-carving; the
   /// expand-partition migration action rides on this). Refuses to shrink
   /// below the current occupancy — resident entries are never dropped.
+  /// The capacity is only a bound (checked by full()): storage grows with
+  /// the resident rules, so re-carving allocates nothing.
   bool set_capacity(int capacity) {
     if (capacity < occupancy()) return false;
     capacity_ = capacity;
@@ -166,6 +168,11 @@ class TcamTable {
   /// Removes every entry (bulk slice reset, no charged movement).
   void clear();
 
+  /// Heap bytes held by the entry array, the id index and the engine
+  /// (obs/memory.h counting rule); 0 for a table that never held a rule,
+  /// whatever its capacity.
+  std::size_t memory_bytes() const;
+
   const TableStats& stats() const { return stats_; }
 
   /// Validates the physical-order invariant AND id-index <-> array
@@ -185,7 +192,7 @@ class TcamTable {
 
   int capacity_;
   std::vector<net::Rule> entries_;  // compact, non-increasing priority
-  std::unordered_map<net::RuleId, int> priority_of_;  // id -> priority
+  net::IdMap<int> priority_of_;     // id -> priority
   LookupEngine engine_;     // classification index over entries_
   std::uint64_t seq_ = 0;   // arrival stamps for the engine's tie-break
   TableStats stats_;

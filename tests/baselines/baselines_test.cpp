@@ -204,6 +204,13 @@ TEST(HermesBackend, AdaptsAgentInterface) {
   EXPECT_EQ(sw.name(), "Hermes");
 }
 
+TEST(HermesBackend, EmptyFootprintIndependentOfCapacity) {
+  HermesBackend typical(tcam::pica8_p3290(), 4000);
+  HermesBackend huge(tcam::pica8_p3290(), 400000);
+  EXPECT_EQ(typical.memory_bytes(), huge.memory_bytes());
+  EXPECT_LE(typical.memory_bytes(), 8192u);
+}
+
 TEST(HermesBackend, SimpleVariantUsesThreshold) {
   core::HermesConfig base;
   base.lowest_priority_optimization = false;  // force the shadow path

@@ -14,6 +14,9 @@
 // Mid-batch failures are injected by pre-inserting a rule directly into
 // the main ASIC slice whose id collides with a piece id the next
 // migration will allocate (ids are sequential from kPieceIdBase = 2^32).
+//
+// The agent's memory accounting is checked here too, since summing its
+// layers needs the same white-box seam.
 #include <gtest/gtest.h>
 
 #include "hermes/hermes_agent.h"
@@ -31,6 +34,13 @@ struct AgentTestPeer {
   static void forget_main_rule(HermesAgent& agent, net::RuleId pid,
                                const net::Prefix& match) {
     agent.main_index_.erase(pid, match);
+  }
+  static std::size_t index_bytes(const HermesAgent& agent) {
+    return agent.main_index_.memory_bytes() +
+           agent.shadow_index_.memory_bytes();
+  }
+  static std::size_t estimator_bytes(const HermesAgent& agent) {
+    return sizeof(GrowthEstimator) + agent.estimator_->memory_bytes();
   }
 };
 
@@ -202,6 +212,31 @@ TEST(MergeSavings, CountedWhenTheMergedFormLands) {
   ASSERT_NE(agent.store().find(1), nullptr);
   EXPECT_EQ(agent.store().find(1)->placement, Placement::kMain);
   EXPECT_EQ(agent.store().find(1)->physical_ids.size(), 1u);
+}
+
+TEST(HermesAgent, MemoryBytesTracksLoad) {
+  HermesAgent agent(tcam::pica8_p3290(), 4000, test_config());
+  auto layers = [&] {
+    return sizeof(HermesAgent) + agent.asic().memory_bytes() +
+           agent.store().memory_bytes() + AgentTestPeer::index_bytes(agent) +
+           agent.rit_samples().capacity() * sizeof(Duration) +
+           agent.op_latency_samples().capacity() * sizeof(Duration) +
+           sizeof(GateKeeper) + AgentTestPeer::estimator_bytes(agent);
+  };
+  const std::size_t empty = agent.memory_bytes();
+  EXPECT_EQ(empty, layers());
+  for (int i = 0; i < 32; ++i) {
+    agent.insert(from_micros(10 * i),
+                 Rule{static_cast<net::RuleId>(i + 1), 10 + i % 7,
+                      Prefix(net::Ipv4Address(0x0A000000u +
+                                              (static_cast<std::uint32_t>(i)
+                                               << 12)),
+                             20 + i % 5),
+                      net::forward_to(1 + i % 4)});
+  }
+  ASSERT_EQ(agent.store().size(), 32u);
+  EXPECT_GT(agent.memory_bytes(), empty);
+  EXPECT_EQ(agent.memory_bytes(), layers());
 }
 
 }  // namespace

@@ -29,6 +29,18 @@ TEST(Asic, CarvesSlices) {
   EXPECT_EQ(asic.total_occupancy(), 0);
 }
 
+TEST(Asic, TransferCapacityAllocatesNothing) {
+  Asic small(pica8_p3290(), {64, 1936});
+  Asic huge(pica8_p3290(), {64, 1 << 20});
+  const std::size_t empty = small.memory_bytes();
+  EXPECT_EQ(huge.memory_bytes(), empty);
+  ASSERT_TRUE(huge.transfer_capacity(1, 0, 1 << 19));
+  EXPECT_EQ(huge.slice(0).capacity(), 64 + (1 << 19));
+  EXPECT_EQ(huge.memory_bytes(), empty);
+  ASSERT_TRUE(huge.transfer_capacity(0, 1, 1 << 19));
+  EXPECT_EQ(huge.memory_bytes(), empty);
+}
+
 TEST(Asic, InsertChargesModelLatency) {
   Asic asic(pica8_p3290(), {2000});
   auto r = asic.apply(0, {FlowModType::kInsert, make_rule(1, 1, "10.0.0.0/8")});

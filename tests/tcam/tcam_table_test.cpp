@@ -25,6 +25,29 @@ TEST(TcamTable, StartsEmpty) {
   EXPECT_FALSE(t.full());
 }
 
+TEST(TcamTable, EmptyTableAllocatesNothing) {
+  // Capacity is a bound, not a reservation: an empty slice costs no heap
+  // whatever its size, and re-carving it allocates nothing either.
+  TcamTable t(1 << 20);
+  EXPECT_EQ(t.memory_bytes(), 0u);
+  ASSERT_TRUE(t.set_capacity(4096));
+  EXPECT_EQ(t.memory_bytes(), 0u);
+  // The bound still holds once storage grows on use.
+  for (int i = 0; i < 4096; ++i)
+    ASSERT_TRUE(t.insert(Rule{static_cast<net::RuleId>(i + 1), 7,
+                              Prefix(net::Ipv4Address(
+                                         static_cast<std::uint32_t>(i) << 8),
+                                     24),
+                              forward_to(1)})
+                    .ok);
+  EXPECT_TRUE(t.full());
+  EXPECT_GT(t.memory_bytes(), 0u);
+  EXPECT_FALSE(t.insert(make_rule(4097, 7, "11.0.0.0/8")).ok);
+  EXPECT_EQ(t.occupancy(), 4096);
+  EXPECT_EQ(t.stats().failed_inserts, 1u);
+  EXPECT_TRUE(t.check_invariant());
+}
+
 TEST(TcamTable, InsertIntoEmptyHasNoShifts) {
   TcamTable t(8);
   auto r = t.insert(make_rule(1, 10, "10.0.0.0/8"));

@@ -5,6 +5,8 @@ Runs the tool as a subprocess against temp BENCH json pairs and checks
 exit codes: 0 = ok, 1 = gated regression / missing / non-numeric metric.
 """
 
+import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,8 +14,37 @@ import sys
 import tempfile
 import unittest
 
-TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, os.pardir, "tools", "bench_compare.py")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    os.pardir, os.pardir)
+TOOL = os.path.join(ROOT, "tools", "bench_compare.py")
+
+# Every numeric key (derived or row field) in bench/baselines/*.json that
+# gates higher-is-better; every other numeric key there is
+# lower-is-better. A new baseline key must be added here (if higher) so
+# its direction is a reviewed decision, not a substring accident.
+HIGHER_IS_BETTER_BASELINE_KEYS = {
+    "best_p99_improvement", "bgp_storm_p99_improvement",
+    "cluster_shift_p99_improvement", "dependency_violation_free_rate",
+    "erase_drain_speedup", "erase_insert_speedup",
+    "fault_sweep_p99_improvement", "fdrc_vs_lfu_hit_improvement",
+    "fdrc_vs_lru_hit_improvement", "find_speedup",
+    "fleet_1t_scale_flatness", "fleet_determinism_rate",
+    "fleet_virtual_mods_per_s", "hermes_batch512_speedup",
+    "hermes_batch64_speedup", "hermes_batch8_speedup", "hit_rate",
+    "lookup_speedup_miss", "lookup_speedup_uniform", "lookup_speedup_zipf",
+    "mlookups_per_sec", "mods_per_sec", "multi_tenant_qos_p99_improvement",
+    "q_policy_no_regression_rate", "reroute_storm_p99_improvement",
+    "speedup_vs_1t", "spill_admission_rate", "tcam_insert_batch_speedup",
+    "update_segway_speedup", "update_segway_violation_free_rate",
+    "update_two_phase_loop_rate",
+}
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def doc(derived=None, results=None):
@@ -121,6 +152,55 @@ class BenchCompareTest(unittest.TestCase):
         cand = dict(doc(), benchmark="other_bench")
         proc = run_compare(base, cand)
         self.assertEqual(proc.returncode, 2)
+
+
+class DirectionTest(unittest.TestCase):
+    def test_committed_baseline_keys_keep_their_direction(self):
+        tool = load_tool()
+        keys = set()
+        for path in glob.glob(os.path.join(ROOT, "bench", "baselines",
+                                           "*.json")):
+            with open(path, "r", encoding="utf-8") as fh:
+                base = json.load(fh)
+            rows = [base.get("derived", {}) or {}]
+            rows += base.get("results", []) or []
+            for row in rows:
+                keys.update(k for k, v in row.items()
+                            if isinstance(v, (int, float))
+                            and not isinstance(v, bool))
+        self.assertTrue(HIGHER_IS_BETTER_BASELINE_KEYS <= keys,
+                        HIGHER_IS_BETTER_BASELINE_KEYS - keys)
+        for key in sorted(keys):
+            self.assertEqual(tool.higher_is_better(key),
+                             key in HIGHER_IS_BETTER_BASELINE_KEYS, key)
+
+    def test_whole_tokens_not_substrings(self):
+        tool = load_tool()
+        # "per_switch" starts with the characters "per_s".
+        self.assertFalse(tool.higher_is_better("bytes_per_switch_empty"))
+        self.assertTrue(tool.higher_is_better("fleet_1t_scale_flatness"))
+        self.assertTrue(tool.higher_is_better("parallel_efficiency"))
+        self.assertTrue(tool.higher_is_better("ops_per_s"))
+        self.assertTrue(tool.higher_is_better("mods_per_sec"))
+        self.assertFalse(tool.higher_is_better("accurate_ns"))
+
+    def test_bytes_per_switch_growth_fails(self):
+        proc = run_compare(doc(derived={"bytes_per_switch_empty": 5000.0}),
+                           doc(derived={"bytes_per_switch_empty": 8000.0}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("lower-is-better", proc.stderr)
+        proc = run_compare(doc(derived={"bytes_per_switch_empty": 5000.0}),
+                           doc(derived={"bytes_per_switch_empty": 2000.0}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
+    def test_flatness_drop_fails(self):
+        proc = run_compare(doc(derived={"fleet_1t_scale_flatness": 0.8}),
+                           doc(derived={"fleet_1t_scale_flatness": 0.4}))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("higher-is-better", proc.stderr)
+        proc = run_compare(doc(derived={"fleet_1t_scale_flatness": 0.8}),
+                           doc(derived={"fleet_1t_scale_flatness": 1.0}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
 
 
 class WriteBaselineTest(unittest.TestCase):

@@ -22,9 +22,11 @@ The comparison has two scopes:
     baseline and non-numeric in the candidate -- always gates: a bench that
     silently stopped emitting a row is broken regardless of machine noise.
 
-Direction is inferred from the metric name: keys containing speedup /
-improvement / throughput / per_s / rate are higher-is-better; everything
-else is lower-is-better. A numeric baseline metric that is missing from the
+Direction is inferred from the metric name's whole `_`-separated tokens:
+a key ending in per_s / per_sec, or containing a speedup / improvement /
+throughput / rate / flatness / efficiency token, is higher-is-better;
+everything else is lower-is-better (so bytes_per_switch_* is
+lower-is-better although it contains the characters "per_s"). A numeric baseline metric that is missing from the
 candidate, or non-numeric there (e.g. a NaN serialized as null), is a
 gating failure in every scope (it catches silently renamed or broken keys).
 
@@ -53,8 +55,9 @@ import sys
 if hasattr(signal, "SIGPIPE"):
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
-HIGHER_IS_BETTER_TOKENS = ("speedup", "improvement", "throughput", "per_s",
-                           "rate")
+HIGHER_IS_BETTER_TOKENS = frozenset(("speedup", "improvement", "throughput",
+                                     "rate", "flatness", "efficiency"))
+HIGHER_IS_BETTER_SUFFIXES = (("per", "s"), ("per", "sec"))
 # Baselines smaller than this are too noisy for a relative comparison.
 EPSILON = 1e-9
 
@@ -67,8 +70,9 @@ def usage_error(message):
 
 
 def higher_is_better(key):
-    lowered = key.lower()
-    return any(token in lowered for token in HIGHER_IS_BETTER_TOKENS)
+    tokens = tuple(key.lower().split("_"))
+    return (any(token in HIGHER_IS_BETTER_TOKENS for token in tokens)
+            or tokens[-2:] in HIGHER_IS_BETTER_SUFFIXES)
 
 
 def load(path):
